@@ -9,12 +9,17 @@
 //   fluid_explorer dcqcn-pi [N] [qref_pkts]        [duration_s]
 //
 // Output: CSV on stdout with columns t, queue_kb, rate0_gbps, rate1_gbps...
+// Bad arguments (or parameters a model rejects) print usage and exit 2.
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 
+#include "core/diagnostic.hpp"
 #include "fluid/dcqcn_model.hpp"
 #include "fluid/fluid_model.hpp"
 #include "fluid/pi_models.hpp"
@@ -22,37 +27,82 @@
 
 using namespace ecnd;
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: fluid_explorer dcqcn    [N >= 1] [feedback_delay_us >= 0] [duration_s > 0]\n"
+               "       fluid_explorer timely   [N >= 1] [jitter_us >= 0]         [duration_s > 0]\n"
+               "       fluid_explorer patched  [N >= 1] [jitter_us >= 0]         [duration_s > 0]\n"
+               "       fluid_explorer dcqcn-pi [N >= 1] [qref_pkts >= 0]         [duration_s > 0]\n");
+  return 2;
+}
+
+/// Whole-string integer parse; false on junk, overflow or empty input.
+bool parse_int(const char* s, int& out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || v < INT_MIN || v > INT_MAX) {
+    return false;
+  }
+  out = static_cast<int>(v);
+  return true;
+}
+
+/// Whole-string finite floating-point parse.
+bool parse_double(const char* s, double& out) {
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
+  out = v;
+  return true;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const char* which = argc > 1 ? argv[1] : "dcqcn";
-  const int n = argc > 2 ? std::atoi(argv[2]) : 2;
-  const double knob = argc > 3 ? std::atof(argv[3]) : 4.0;
-  const double duration = argc > 4 ? std::atof(argv[4]) : 0.1;
+  int n = 2;
+  double knob = 4.0;
+  double duration = 0.1;
+  if (argc > 5 || (argc > 2 && !parse_int(argv[2], n)) ||
+      (argc > 3 && !parse_double(argv[3], knob)) ||
+      (argc > 4 && !parse_double(argv[4], duration)) || n < 1 || knob < 0.0 ||
+      duration <= 0.0) {
+    return usage();
+  }
 
   std::unique_ptr<fluid::FluidModel> model;
-  if (std::strcmp(which, "dcqcn") == 0) {
-    fluid::DcqcnFluidParams p;
-    p.num_flows = n;
-    p.feedback_delay = knob * 1e-6;
-    model = std::make_unique<fluid::DcqcnFluidModel>(p);
-  } else if (std::strcmp(which, "timely") == 0) {
-    fluid::TimelyFluidParams p;
-    p.num_flows = n;
-    if (knob > 0.0) p.feedback_jitter = fluid::JitterProcess(knob * 1e-6, 20e-6, 1);
-    model = std::make_unique<fluid::TimelyFluidModel>(p);
-  } else if (std::strcmp(which, "patched") == 0) {
-    fluid::TimelyFluidParams p = fluid::patched_timely_defaults();
-    p.num_flows = n;
-    if (knob > 0.0) p.feedback_jitter = fluid::JitterProcess(knob * 1e-6, 20e-6, 1);
-    model = std::make_unique<fluid::PatchedTimelyFluidModel>(p);
-  } else if (std::strcmp(which, "dcqcn-pi") == 0) {
-    fluid::DcqcnFluidParams p;
-    p.num_flows = n;
-    fluid::PiControllerParams pi;
-    if (knob > 0.0) pi.qref_pkts = knob;
-    model = std::make_unique<fluid::DcqcnPiFluidModel>(p, pi);
-  } else {
-    std::fprintf(stderr, "unknown model '%s'\n", which);
-    return 1;
+  try {
+    if (std::strcmp(which, "dcqcn") == 0) {
+      fluid::DcqcnFluidParams p;
+      p.num_flows = n;
+      p.feedback_delay = knob * 1e-6;
+      model = std::make_unique<fluid::DcqcnFluidModel>(p);
+    } else if (std::strcmp(which, "timely") == 0) {
+      fluid::TimelyFluidParams p;
+      p.num_flows = n;
+      if (knob > 0.0) p.feedback_jitter = fluid::JitterProcess(knob * 1e-6, 20e-6, 1);
+      model = std::make_unique<fluid::TimelyFluidModel>(p);
+    } else if (std::strcmp(which, "patched") == 0) {
+      fluid::TimelyFluidParams p = fluid::patched_timely_defaults();
+      p.num_flows = n;
+      if (knob > 0.0) p.feedback_jitter = fluid::JitterProcess(knob * 1e-6, 20e-6, 1);
+      model = std::make_unique<fluid::PatchedTimelyFluidModel>(p);
+    } else if (std::strcmp(which, "dcqcn-pi") == 0) {
+      fluid::DcqcnFluidParams p;
+      p.num_flows = n;
+      fluid::PiControllerParams pi;
+      if (knob > 0.0) pi.qref_pkts = knob;
+      model = std::make_unique<fluid::DcqcnPiFluidModel>(p, pi);
+    } else {
+      std::fprintf(stderr, "unknown model '%s'\n", which);
+      return usage();
+    }
+  } catch (const InvariantViolation& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage();
   }
 
   const auto run = fluid::simulate(*model, duration, duration / 2000.0);

@@ -27,7 +27,10 @@
 # line to BENCH_history.jsonl (the trend log `ecnd-diff --bench-history`
 # renders). Wall-clock numbers only mean anything on the machine that
 # produced the baseline — regenerate it with scripts/bench_baseline.sh when
-# moving boxes.
+# moving boxes. It then runs each perfbench workload for 3 s at seed 1 and
+# fails unless every result line reports "correct": true — at seed 1 that
+# includes every output matching perfbench/reference.json bit for bit, so
+# output bit-identity is a mechanical gate.
 #
 # --resume-smoke exercises the crash-resume path end to end: run a journaled
 # sweep (bench_fig14 with ECND_JOURNAL), SIGKILL it mid-flight, re-run with
@@ -244,6 +247,21 @@ if [[ "$mode" == "--perf" ]]; then
     --bench-current "$tmp/current.json" \
     --strict-perf
   echo "perf gate: within baseline tolerance"
+
+  echo "-- perfbench outputs vs perfbench/reference.json (seed 1, 3 s each)"
+  for w in fct_dumbbell fabric_shuffle fluid_many_flows paper_sweep; do
+    line="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 \
+      --trace 0 2> "$tmp/perfbench_$w.err" | tail -n 1)" || true
+    if ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+        "$line" 2> /dev/null; then
+      echo "ERROR: perfbench $w is not correct: ${line:-no result line}" >&2
+      tail -n 20 "$tmp/perfbench_$w.err" >&2
+      exit 1
+    fi
+    echo "   $w: correct"
+  done
+  echo "perf gate: perfbench outputs bit-identical to the reference"
 fi
 
 if [[ "$mode" == "--resume-smoke" ]]; then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace ecnd::fluid {
 namespace {
@@ -38,11 +39,15 @@ double mark_within(double p, double l, double n) {
 }  // namespace
 
 DcqcnFluidModel::DcqcnFluidModel(DcqcnFluidParams params) : params_(params) {
-  assert(params_.num_flows >= 1);
-  assert(params_.kmax > params_.kmin);
-  assert(params_.pmax > 0.0 && params_.pmax <= 1.0);
-  require_min_rate_feasible("DcqcnFluidModel", params_.num_flows, kMinRatePps,
-                            params_.capacity_pps());
+  const DcqcnFluidParams& P = params_;
+  require_param("DcqcnFluidModel", "num_flows", P.num_flows, P.num_flows >= 1,
+                "need at least one flow");
+  require_param("DcqcnFluidModel", "kmax", static_cast<double>(P.kmax),
+                P.kmax > P.kmin, "Kmax must exceed Kmin");
+  require_param("DcqcnFluidModel", "pmax", P.pmax,
+                P.pmax > 0.0 && P.pmax <= 1.0, "Pmax must lie in (0, 1]");
+  require_min_rate_feasible("DcqcnFluidModel", P.num_flows, kMinRatePps,
+                            P.capacity_pps());
 }
 
 double DcqcnFluidModel::marking_probability(double q_pkts) const {
@@ -85,8 +90,10 @@ DcqcnFluidModel::MarkingShared DcqcnFluidModel::make_marking_shared(
 DcqcnFluidModel::FlowDerivatives DcqcnFluidModel::flow_rhs(
     double alpha, double rt, double rc, double p_delayed,
     double rc_delayed) const {
-  return flow_rhs_shared(alpha, rt, rc, make_marking_shared(p_delayed),
-                         rc_delayed);
+  const double x[3] = {alpha, rt, rc};
+  double dxdt[3];
+  flows_rhs(make_marking_shared(p_delayed), {&rc_delayed, 1}, x, dxdt);
+  return {dxdt[0], dxdt[1], dxdt[2]};
 }
 
 DcqcnFluidModel::RateShared DcqcnFluidModel::make_rate_shared(
@@ -115,26 +122,58 @@ DcqcnFluidModel::RateShared DcqcnFluidModel::make_rate_shared(
   return r;
 }
 
-DcqcnFluidModel::FlowDerivatives DcqcnFluidModel::flow_rhs_from(
-    double alpha, double rt, double rc, const MarkingShared& m,
-    const RateShared& r) const {
+// x and dxdt never overlap (DdeSystem::rhs). Saying so with __restrict
+// keeps the run-time alias checks of the vectorized pass within the
+// compiler's limit; with six unqualified streams it gives up.
+void DcqcnFluidModel::flows_rhs(const MarkingShared& m,
+                                std::span<const double> rc_delayed,
+                                const double* __restrict x,
+                                double* __restrict dxdt) const {
   const DcqcnFluidParams& P = params_;
-  FlowDerivatives d{};
-  // Equation 5.
-  d.dalpha = P.g / P.tau_alpha * (r.cnp_prob_tau_alpha - alpha);
-  // Equation 6.
-  d.dtarget = -(rt - rc) / P.tau_cnp * r.cnp_prob_tau + r.ai_byte + r.ai_timer;
-  // Equation 7.
-  d.drate = -(rc * alpha) / (2.0 * P.tau_cnp) * r.cnp_prob_tau +
-            (rt - rc) / 2.0 * r.rcd * m.byte_factor +
-            (rt - rc) / 2.0 * r.rcd * r.timer_factor;
-  return d;
-}
-
-DcqcnFluidModel::FlowDerivatives DcqcnFluidModel::flow_rhs_shared(
-    double alpha, double rt, double rc, const MarkingShared& m,
-    double rc_delayed) const {
-  return flow_rhs_from(alpha, rt, rc, m, make_rate_shared(m, rc_delayed));
+  const std::size_t n = rc_delayed.size();
+  const double* alpha = x;
+  const double* rt = x + n;
+  const double* rc = x + 2 * n;
+  double* dalpha = dxdt;
+  double* dtarget = dxdt + n;
+  double* drate = dxdt + 2 * n;
+  // Parameter quotients, hoisted. Each equation below keeps the association
+  // it was written with (g / tau' * (...) is (g / tau') * (...), and so on),
+  // so hoisting them is bit-neutral.
+  const double g_over_tau_alpha = P.g / P.tau_alpha;
+  const double tau = P.tau_cnp;
+  const double two_tau = 2.0 * P.tau_cnp;
+  const double byte_factor = m.byte_factor;
+  // Flows whose delayed rates compare equal share every transcendental, so
+  // each run of them gets one RateShared and a flat loop over its flows. In
+  // symmetric runs that is one pass over all N; with distinct rates it
+  // degrades to one RateShared per flow, as a per-flow evaluation would.
+  for (std::size_t begin = 0; begin < n;) {
+    const double key = rc_delayed[begin];
+    std::size_t end = begin + 1;
+    while (end < n && rc_delayed[end] == key) ++end;
+    const RateShared r = make_rate_shared(m, key);
+    const double rcd = r.rcd;
+    const double cnp_tau = r.cnp_prob_tau;
+    const double cnp_tau_alpha = r.cnp_prob_tau_alpha;
+    const double timer_factor = r.timer_factor;
+    const double ai_byte = r.ai_byte;
+    const double ai_timer = r.ai_timer;
+    for (std::size_t i = begin; i < end; ++i) {
+      const double a = alpha[i];
+      const double target = rt[i];
+      const double rate = rc[i];
+      // Equation 5.
+      dalpha[i] = g_over_tau_alpha * (cnp_tau_alpha - a);
+      // Equation 6.
+      dtarget[i] = -(target - rate) / tau * cnp_tau + ai_byte + ai_timer;
+      // Equation 7.
+      drate[i] = -(rate * a) / two_tau * cnp_tau +
+                 (target - rate) / 2.0 * rcd * byte_factor +
+                 (target - rate) / 2.0 * rcd * timer_factor;
+    }
+    begin = end;
+  }
 }
 
 void DcqcnFluidModel::rhs(double t, std::span<const double> x, const History& past,
@@ -144,8 +183,10 @@ void DcqcnFluidModel::rhs(double t, std::span<const double> x, const History& pa
   const double t_delayed = t - delay;
 
   // Equation 4: queue evolution, gated so an empty queue cannot go negative.
+  const std::size_t n = nflows();
+  const double* rc = x.data() + rate_index(0);
   double sum_rc = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_rc += x[rate_index(i)];
+  for (std::size_t i = 0; i < n; ++i) sum_rc += rc[i];
   const double q = x[queue_index()];
   double dq = sum_rc - P.capacity_pps();
   if (q <= 0.0 && dq < 0.0) dq = 0.0;
@@ -156,41 +197,20 @@ void DcqcnFluidModel::rhs(double t, std::span<const double> x, const History& pa
   // contiguous pass (the second search reuses the cursor the first warmed).
   const double q_delayed = past.value(queue_index(), t_delayed);
   const std::span<const double> rc_delayed =
-      past.values(t_delayed, rate_index(0), nflows());
+      past.values(t_delayed, rate_index(0), n);
   const double p_delayed = marking_probability(q_delayed);
-  const MarkingShared shared = make_marking_shared(p_delayed);
-
-  // One-entry memo over the delayed rate: in symmetric runs every flow's
-  // delayed rate is bitwise identical, so the expensive transcendental block
-  // is computed once per evaluation instead of once per flow. Keyed on exact
-  // bits — a miss just recomputes, so results never depend on the memo.
-  RateShared rate_shared{};
-  double rate_shared_key = 0.0;
-  bool have_rate_shared = false;
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rcd_i = rc_delayed[static_cast<std::size_t>(i)];
-    if (!have_rate_shared || rcd_i != rate_shared_key) {
-      rate_shared = make_rate_shared(shared, rcd_i);
-      rate_shared_key = rcd_i;
-      have_rate_shared = true;
-    }
-    const FlowDerivatives d =
-        flow_rhs_from(x[alpha_index(i)], x[target_rate_index(i)],
-                      x[rate_index(i)], shared, rate_shared);
-    dxdt[alpha_index(i)] = d.dalpha;
-    dxdt[target_rate_index(i)] = d.dtarget;
-    dxdt[rate_index(i)] = d.drate;
-  }
+  flows_rhs(make_marking_shared(p_delayed), rc_delayed,
+            x.data() + alpha_index(0), dxdt.data() + alpha_index(0));
 }
 
-void DcqcnFluidModel::clamp(std::span<double> x) const {
+std::vector<StateBounds> DcqcnFluidModel::bounds() const {
   const double line = params_.capacity_pps();
-  x[queue_index()] = std::max(0.0, x[queue_index()]);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    x[alpha_index(i)] = std::clamp(x[alpha_index(i)], 0.0, 1.0);
-    x[target_rate_index(i)] = std::clamp(x[target_rate_index(i)], kMinRatePps, line);
-    x[rate_index(i)] = std::clamp(x[rate_index(i)], kMinRatePps, line);
-  }
+  const std::size_t n = nflows();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  return {{queue_index(), 1, 0.0, kInf, StateBounds::Rule::kFloor},
+          {alpha_index(0), n, 0.0, 1.0},
+          {target_rate_index(0), n, kMinRatePps, line},
+          {rate_index(0), n, kMinRatePps, line}};
 }
 
 }  // namespace ecnd::fluid

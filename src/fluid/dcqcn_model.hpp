@@ -25,6 +25,7 @@
 // increase in the lookup delay.
 
 #include <cstdint>
+#include <vector>
 
 #include "core/units.hpp"
 #include "fluid/fluid_model.hpp"
@@ -83,7 +84,8 @@ class DcqcnFluidModel final : public FluidModel {
   /// transients, and the floor keeps the exponential terms well-scaled.
   static constexpr double kMinRatePps = 125.0;
 
-  /// Throws InvariantViolation when num_flows * kMinRatePps exceeds the link
+  /// Throws InvariantViolation unless num_flows >= 1, Kmax > Kmin and
+  /// Pmax is in (0, 1], and when num_flows * kMinRatePps exceeds the link
   /// capacity (the rate floor would pin demand above capacity forever).
   explicit DcqcnFluidModel(DcqcnFluidParams params);
 
@@ -115,7 +117,9 @@ class DcqcnFluidModel final : public FluidModel {
   }
   void rhs(double t, std::span<const double> x, const History& past,
            std::span<double> dxdt) const override;
-  void clamp(std::span<double> x) const override;
+  /// q >= 0 (as std::max(0, q)), alpha in [0, 1], both rates in
+  /// [kMinRatePps, C].
+  std::vector<StateBounds> bounds() const override;
   double max_delay() const override {
     return params_.feedback_delay + params_.feedback_jitter.amplitude();
   }
@@ -151,9 +155,9 @@ class DcqcnFluidModel final : public FluidModel {
 
   /// The remaining per-flow terms that depend only on (p, delayed rate) —
   /// every transcendental the flow RHS needs. In symmetric many-flow runs
-  /// the delayed rates are bitwise identical across flows, so rhs() memoizes
-  /// one RateShared per distinct delayed-rate value and the 10k-flow hot
-  /// loop pays ~one expm1/exp set per evaluation instead of 10k.
+  /// the delayed rates are bitwise identical across flows, so rhs() computes
+  /// one RateShared per run of equal delayed rates and the 10k-flow hot loop
+  /// pays ~one expm1/exp set per evaluation instead of 10k.
   struct RateShared {
     double rcd;                 ///< delayed rate clamped to kMinRatePps
     double cnp_prob_tau;        ///< 1 - (1-p)^{tau Rc}
@@ -163,12 +167,13 @@ class DcqcnFluidModel final : public FluidModel {
     double ai_timer;            ///< timer-counter twin of ai_byte
   };
   RateShared make_rate_shared(const MarkingShared& m, double rc_delayed) const;
-  FlowDerivatives flow_rhs_from(double alpha, double rt, double rc,
-                                const MarkingShared& m,
-                                const RateShared& r) const;
-  FlowDerivatives flow_rhs_shared(double alpha, double rt, double rc,
-                                  const MarkingShared& m,
-                                  double rc_delayed) const;
+
+  /// Equations 5-7 for every flow of the SoA blocks [alpha | Rt | Rc] that
+  /// start at `x` (derivatives into the same blocks at `dxdt`): one flat
+  /// pass per run of flows whose delayed rates compare equal. flow_rhs()
+  /// runs a single flow through it, so both agree bit for bit.
+  void flows_rhs(const MarkingShared& m, std::span<const double> rc_delayed,
+                 const double* x, double* dxdt) const;
 
   // The PI variant reuses these flow dynamics with its own marking source.
   friend class DcqcnPiFluidModel;

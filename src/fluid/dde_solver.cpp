@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -391,8 +392,34 @@ DdeSolver::DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
       k4_(system.dim()),
       tmp_(system.dim()),
       last_trim_(t0) {
-  assert(x_.size() == system_.dim());
-  assert(dt_ > 0.0);
+  const std::size_t n = system_.dim();
+  if (x_.size() != n) {
+    throw InvariantViolation(Diagnostic::make(
+        "DdeSolver", "initial_state", t0, static_cast<double>(x_.size()),
+        "initial state has " + std::to_string(x_.size()) +
+            " entries but the system's dimension is " + std::to_string(n)));
+  }
+  if (!(dt_ > 0.0) || !std::isfinite(dt_)) {
+    throw InvariantViolation(Diagnostic::make(
+        "DdeSolver", "dt", t0, dt_, "step size must be positive and finite"));
+  }
+  bounds_ = system_.bounds();
+  std::sort(bounds_.begin(), bounds_.end(),
+            [](const StateBounds& a, const StateBounds& b) {
+              return a.first < b.first;
+            });
+  std::size_t covered = 0;  // end of the previous block
+  for (const StateBounds& b : bounds_) {
+    if (b.first < covered || b.count > n - b.first) {
+      throw InvariantViolation(Diagnostic::make(
+          "DdeSolver", "bounds", t0, static_cast<double>(b.first),
+          "bounds block [" + std::to_string(b.first) + ", +" +
+              std::to_string(b.count) +
+              ") overlaps another block or leaves the state of dimension " +
+              std::to_string(n)));
+    }
+    covered = b.first + b.count;
+  }
   if (system.max_row_delay() < system.max_delay()) {
     const auto [first, count] = system.deep_vars();
     history_.set_deep_retention(first, count);
@@ -405,26 +432,51 @@ void DdeSolver::set_guard(Guard guard, int max_step_halvings) {
   max_step_halvings_ = max_step_halvings;
 }
 
+template <typename Value>
+void DdeSolver::bounded_pass(double* out, Value value) const {
+  std::size_t i = 0;
+  for (const StateBounds& b : bounds_) {
+    for (; i < b.first; ++i) out[i] = value(i);
+    const std::size_t end = b.first + b.count;
+    const double lo = b.lo;
+    const double hi = b.hi;
+    if (b.rule == StateBounds::Rule::kFloor) {
+      for (; i < end; ++i) out[i] = std::max(lo, value(i));
+    } else {
+      for (; i < end; ++i) {
+        const double v = value(i);
+        out[i] = std::clamp(v, lo, hi);
+      }
+    }
+  }
+  for (const std::size_t n = x_.size(); i < n; ++i) out[i] = value(i);
+}
+
 void DdeSolver::advance(double h) {
   kRk4Steps.add();
   kRhsEvals.add(4);
   obs::ProfScope rhs_scope("fluid.rhs");
-  const std::size_t n = x_.size();
+  // Each stage state is built and bounded in one pass. The products keep
+  // their written association: 0.5 * h * k is (0.5 * h) * k, and
+  // h / 6.0 * (...) is (h / 6.0) * (...), so the hoisted factors are exact.
+  const double* x = x_.data();
+  const double* k1 = k1_.data();
+  const double* k2 = k2_.data();
+  const double* k3 = k3_.data();
+  const double* k4 = k4_.data();
+  const double half_h = 0.5 * h;
   system_.rhs(t_, x_, history_, k1_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = x_[i] + 0.5 * h * k1_[i];
-  system_.clamp(tmp_);
+  bounded_pass(tmp_.data(), [=](std::size_t i) { return x[i] + half_h * k1[i]; });
   system_.rhs(t_ + 0.5 * h, tmp_, history_, k2_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = x_[i] + 0.5 * h * k2_[i];
-  system_.clamp(tmp_);
+  bounded_pass(tmp_.data(), [=](std::size_t i) { return x[i] + half_h * k2[i]; });
   system_.rhs(t_ + 0.5 * h, tmp_, history_, k3_);
-  for (std::size_t i = 0; i < n; ++i) tmp_[i] = x_[i] + h * k3_[i];
-  system_.clamp(tmp_);
+  bounded_pass(tmp_.data(), [=](std::size_t i) { return x[i] + h * k3[i]; });
   system_.rhs(t_ + h, tmp_, history_, k4_);
 
-  for (std::size_t i = 0; i < n; ++i) {
-    x_[i] += h / 6.0 * (k1_[i] + 2.0 * k2_[i] + 2.0 * k3_[i] + k4_[i]);
-  }
-  system_.clamp(x_);
+  const double h6 = h / 6.0;
+  bounded_pass(x_.data(), [=](std::size_t i) {
+    return x[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+  });
 }
 
 void DdeSolver::commit(double t_new) {

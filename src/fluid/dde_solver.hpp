@@ -155,6 +155,21 @@ class History {
   mutable std::size_t deep_cursor_ = 0;
 };
 
+/// Box bound on the contiguous state block [first, first + count). The
+/// solver applies it to every RK4 stage state and to each accepted state,
+/// inside the loops that build them, element by element:
+///   kClamp  v -> std::clamp(v, lo, hi)   NaN passes through, -0.0 stays
+///   kFloor  v -> std::max(lo, v)         hi unused; NaN and every v <= lo
+///                                        (so -0.0 when lo is 0) become lo
+struct StateBounds {
+  enum class Rule { kClamp, kFloor };
+  std::size_t first = 0;
+  std::size_t count = 0;
+  double lo = 0.0;
+  double hi = 0.0;
+  Rule rule = Rule::kClamp;
+};
+
 /// A delayed dynamical system dx/dt = f(t, x(t), history).
 class DdeSystem {
  public:
@@ -164,12 +179,14 @@ class DdeSystem {
   virtual std::size_t dim() const = 0;
 
   /// Compute dxdt at time t given current state x and access to past state.
+  /// x and dxdt never overlap.
   virtual void rhs(double t, std::span<const double> x, const History& past,
                    std::span<double> dxdt) const = 0;
 
-  /// Project the state back into its feasible region after each step
-  /// (e.g. queue >= 0, 0 < rate <= line rate). Default: no-op.
-  virtual void clamp(std::span<double> x) const { (void)x; }
+  /// The feasible region (e.g. queue >= 0, floor <= rate <= line rate) as
+  /// non-overlapping box bounds; variables outside every block are
+  /// unbounded. Read once, when a solver is built. Default: unbounded.
+  virtual std::vector<StateBounds> bounds() const { return {}; }
 
   /// Largest delay the rhs ever looks back by; the solver keeps at least this
   /// much history (plus slack).
@@ -202,6 +219,9 @@ class DdeSolver {
   using Guard =
       std::function<bool(double t, std::span<const double> x, Diagnostic& diag)>;
 
+  /// Throws InvariantViolation when initial_state does not have dim()
+  /// entries, dt is not a positive finite number, or the system's bounds()
+  /// overlap or leave [0, dim()).
   DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
             double t0, double dt);
 
@@ -248,12 +268,17 @@ class DdeSolver {
  private:
   /// One RK4 update of size h applied in place to x_ (no history append).
   void advance(double h);
+  /// out[i] = value(i) for every i in [0, dim()), bounded by bounds_: one
+  /// flat loop per bounds block and per unbounded gap, so each vectorizes.
+  template <typename Value>
+  void bounded_pass(double* out, Value value) const;
   void commit(double t_new);
   double grid_time(std::uint64_t k) const {
     return t0_ + static_cast<double>(k) * dt_;
   }
 
   const DdeSystem& system_;
+  std::vector<StateBounds> bounds_;  // system_.bounds(), sorted by first
   double t_;
   double t0_;
   double dt_;

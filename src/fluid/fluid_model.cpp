@@ -26,6 +26,12 @@ void check_override(const FluidModel& model,
 
 }  // namespace
 
+void require_param(const char* component, const char* name, double value,
+                   bool ok, const char* rule) {
+  if (ok) return;
+  throw InvariantViolation(Diagnostic::make(component, name, 0.0, value, rule));
+}
+
 void require_min_rate_feasible(const char* component, int num_flows,
                                double min_rate_pps, double capacity_pps) {
   const double floor_demand = static_cast<double>(num_flows) * min_rate_pps;

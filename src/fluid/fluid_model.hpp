@@ -87,6 +87,12 @@ FluidAggregateRun simulate_aggregates(const FluidModel& model, double duration,
                                       std::vector<double> initial_override = {},
                                       double dt_override = 0.0);
 
+/// Shared constructor-time parameter check: throws InvariantViolation naming
+/// `component`, the parameter and its value unless `ok`. `rule` states what
+/// a valid value looks like.
+void require_param(const char* component, const char* name, double value,
+                   bool ok, const char* rule);
+
 /// Shared constructor-time feasibility check for the models' per-flow rate
 /// floors: with N flows each clamped to at least `min_rate_pps`, demand can
 /// never drop below N * min_rate_pps — if that exceeds the link capacity the

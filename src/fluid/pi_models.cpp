@@ -1,8 +1,8 @@
 #include "fluid/pi_models.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace ecnd::fluid {
 namespace {
@@ -34,8 +34,10 @@ void DcqcnPiFluidModel::rhs(double t, std::span<const double> x,
   const double delay = P.feedback_delay + P.feedback_jitter.value(t);
   const double t_delayed = t - delay;
 
+  const std::size_t n = nflows();
+  const double* rc = x.data() + rate_index(0);
   double sum_rc = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_rc += x[rate_index(i)];
+  for (std::size_t i = 0; i < n; ++i) sum_rc += rc[i];
   const double q = x[queue_index()];
   double dq = sum_rc - P.capacity_pps();
   if (q <= 0.0 && dq < 0.0) dq = 0.0;
@@ -55,46 +57,33 @@ void DcqcnPiFluidModel::rhs(double t, std::span<const double> x,
   // searches serve the marking state and the contiguous delayed rate block.
   const double p_raw = past.value(marking_index(), t_delayed);
   const std::span<const double> rc_delayed =
-      past.values(t_delayed, rate_index(0), nflows());
+      past.values(t_delayed, rate_index(0), n);
   const double p_delayed = std::clamp(p_raw, 0.0, 1.0);
-  const auto shared = flow_dynamics_.make_marking_shared(p_delayed);
-  // One-entry memo over the delayed rate, as in DcqcnFluidModel::rhs.
-  DcqcnFluidModel::RateShared rate_shared{};
-  double rate_shared_key = 0.0;
-  bool have_rate_shared = false;
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rcd_i = rc_delayed[static_cast<std::size_t>(i)];
-    if (!have_rate_shared || rcd_i != rate_shared_key) {
-      rate_shared = flow_dynamics_.make_rate_shared(shared, rcd_i);
-      rate_shared_key = rcd_i;
-      have_rate_shared = true;
-    }
-    const DcqcnFluidModel::FlowDerivatives d = flow_dynamics_.flow_rhs_from(
-        x[alpha_index(i)], x[target_rate_index(i)], x[rate_index(i)], shared,
-        rate_shared);
-    dxdt[alpha_index(i)] = d.dalpha;
-    dxdt[target_rate_index(i)] = d.dtarget;
-    dxdt[rate_index(i)] = d.drate;
-  }
+  flow_dynamics_.flows_rhs(flow_dynamics_.make_marking_shared(p_delayed),
+                           rc_delayed, x.data() + alpha_index(0),
+                           dxdt.data() + alpha_index(0));
 }
 
-void DcqcnPiFluidModel::clamp(std::span<double> x) const {
+std::vector<StateBounds> DcqcnPiFluidModel::bounds() const {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const double line = params_.capacity_pps();
   const double floor = DcqcnFluidModel::kMinRatePps;
-  x[queue_index()] = std::max(0.0, x[queue_index()]);
-  x[marking_index()] = std::clamp(x[marking_index()], 0.0, 1.0);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    x[alpha_index(i)] = std::clamp(x[alpha_index(i)], 0.0, 1.0);
-    x[target_rate_index(i)] = std::clamp(x[target_rate_index(i)], floor, line);
-    x[rate_index(i)] = std::clamp(x[rate_index(i)], floor, line);
-  }
+  const std::size_t n = nflows();
+  return {{queue_index(), 1, 0.0, kInf, StateBounds::Rule::kFloor},
+          {marking_index(), 1, 0.0, 1.0},
+          {alpha_index(0), n, 0.0, 1.0},
+          {target_rate_index(0), n, floor, line},
+          {rate_index(0), n, floor, line}};
 }
 
 PatchedTimelyPiFluidModel::PatchedTimelyPiFluidModel(TimelyFluidParams params,
                                                      TimelyPiParams pi)
     : params_(params), pi_(pi) {
-  assert(pi_.qref_pkts > params_.qlow_pkts());
-  assert(pi_.qref_pkts < params_.qhigh_pkts());
+  require_valid_timely_params("PatchedTimelyPiFluidModel", params_);
+  require_param("PatchedTimelyPiFluidModel", "qref_pkts", pi_.qref_pkts,
+                pi_.qref_pkts > params_.qlow_pkts() &&
+                    pi_.qref_pkts < params_.qhigh_pkts(),
+                "q_ref must lie strictly between C*T_low and C*T_high");
   require_min_rate_feasible("PatchedTimelyPiFluidModel", params_.num_flows,
                             kMinRatePps, params_.capacity_pps());
 }
@@ -111,11 +100,6 @@ std::vector<double> PatchedTimelyPiFluidModel::initial_state() const {
 double PatchedTimelyPiFluidModel::suggested_dt() const {
   const double min_delay = params_.base_feedback_delay();
   return std::clamp(std::min(min_delay, params_.d_min_rtt) / 8.0, 5e-8, 5e-7);
-}
-
-double PatchedTimelyPiFluidModel::update_interval(double rate_pps) const {
-  const double r = std::max(rate_pps, kMinRatePps);
-  return std::max(params_.segment_pkts() / r, params_.d_min_rtt);
 }
 
 double PatchedTimelyPiFluidModel::feedback_delay(double q_pkts) const {
@@ -143,9 +127,13 @@ void PatchedTimelyPiFluidModel::rhs(double t, std::span<const double> x,
                                     std::span<double> dxdt) const {
   const TimelyFluidParams& P = params_;
   const double C = P.capacity_pps();
+  const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  const double* grad = x.data() + gradient_index(0);
+  const double* pi_state = x.data() + pi_state_index(0);
 
   double sum_r = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_r += x[rate_index(i)];
+  for (std::size_t i = 0; i < n; ++i) sum_r += rate[i];
   const double q = x[queue_index()];
   double dq = sum_r - C;
   if (q <= 0.0 && dq < 0.0) dq = 0.0;
@@ -156,73 +144,82 @@ void PatchedTimelyPiFluidModel::rhs(double t, std::span<const double> x,
   // rate block (the second reuses the cursor the first warmed).
   const double q_hat = past.value(queue_index(), t - tau_prime);
   const std::span<const double> rates_delayed =
-      past.values(t - tau_prime, rate_index(0), nflows());
+      past.values(t - tau_prime, rate_index(0), n);
 
   // Rate of change of the delayed observation: the queue law evaluated on
   // delayed rates (gated the same way the queue itself is).
   double sum_r_delayed = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) {
-    sum_r_delayed += rates_delayed[static_cast<std::size_t>(i)];
-  }
+  for (std::size_t i = 0; i < n; ++i) sum_r_delayed += rates_delayed[i];
   double dq_hat = sum_r_delayed - C;
   if (q_hat <= 0.0 && dq_hat < 0.0) dq_hat = 0.0;
 
   const double error = (q_hat - pi_.qref_pkts) / pi_.qref_pkts;
   const double derror = dq_hat / pi_.qref_pkts;
 
-  // Batched per-flow gradient lookups, as in the base model.
-  const std::size_t n = nflows();
+  // tau*_i once per flow, then batched per-flow gradient lookups, as in the
+  // base model.
   tau_star_buf_.resize(n);
   lookup_times_.resize(n);
   lookup_vals_.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    tau_star_buf_[j] = update_interval(x[rate_index(static_cast<int>(j))]);
-    lookup_times_[j] = t - tau_prime - tau_star_buf_[j];
+  double* tau_star = tau_star_buf_.data();
+  double* times = lookup_times_.data();
+  const double segment = P.segment_pkts();
+  const double t_recent = t - tau_prime;  // (t - tau') - tau*_i below
+  for (std::size_t i = 0; i < n; ++i) {
+    tau_star[i] = rate_update_interval(segment, P.d_min_rtt, rate[i]);
+    times[i] = t_recent - tau_star[i];
   }
   past.values_at(queue_index(), lookup_times_, lookup_vals_);
 
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rate = x[rate_index(i)];
-    const double grad = x[gradient_index(i)];
-    const double p = x[pi_state_index(i)];
-    const double tau_star = tau_star_buf_[static_cast<std::size_t>(i)];
+  // Gradient EWMA (Equation 22), as in the base model, and the local PI
+  // controller over the host's own delayed queue observation (Equation 32
+  // evaluated at the end host). The host applies one update per completion
+  // event, i.e. every tau*_i — so the effective continuous gain scales with
+  // 1/tau*_i and is *per-flow*. This asymmetry is part of why per-host
+  // integrators end up at different p_i (Figure 19).
+  const double c_dmin = C * P.d_min_rtt;
+  const double pi_drive = pi_.k_p * derror + pi_.k_i * error;
+  const double* q_prev = lookup_vals_.data();
+  double* dgrad = dxdt.data() + gradient_index(0);
+  double* dpi = dxdt.data() + pi_state_index(0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double normalized = (q_hat - q_prev[i]) / c_dmin;
+    dgrad[i] = P.alpha_ewma / tau_star[i] * (-grad[i] + normalized);
+    dpi[i] = pi_drive / tau_star[i];
+  }
 
-    // Gradient EWMA (Equation 22), as in the base model.
-    const double q_prev = lookup_vals_[static_cast<std::size_t>(i)];
-    const double normalized = (q_hat - q_prev) / (C * P.d_min_rtt);
-    dxdt[gradient_index(i)] = P.alpha_ewma / tau_star * (-grad + normalized);
-
-    // Local PI controller over the host's own delayed queue observation
-    // (Equation 32 evaluated at the end host). The host applies one update
-    // per completion event, i.e. every tau*_i — so the effective continuous
-    // gain scales with 1/tau*_i and is *per-flow*. This asymmetry is part of
-    // why per-host integrators end up at different p_i (Figure 19).
-    dxdt[pi_state_index(i)] = (pi_.k_p * derror + pi_.k_i * error) / tau_star;
-
-    // Equation 29 with the PI output replacing the (q - q')/q' error term.
-    double dr;
-    if (q_hat < P.qlow_pkts()) {
-      dr = P.delta_pps() / tau_star;
-    } else if (q_hat > P.qhigh_pkts()) {
-      dr = -P.beta_high / tau_star * (1.0 - P.qhigh_pkts() / q_hat) * rate;
-    } else {
-      const double w = PatchedTimelyFluidModel::weight(grad);
-      dr = (1.0 - w) * P.delta_pps() / tau_star -
-           w * P.beta / tau_star * rate * p;
+  // Equation 29 with the PI output replacing the (q - q')/q' error term,
+  // one flat pass per branch of the measured queue.
+  const double qhigh = P.qhigh_pkts();
+  const double delta = P.delta_pps();
+  double* dr = dxdt.data() + rate_index(0);
+  if (q_hat < P.qlow_pkts()) {
+    for (std::size_t i = 0; i < n; ++i) dr[i] = delta / tau_star[i];
+  } else if (q_hat > qhigh) {
+    const double neg_beta_high = -P.beta_high;
+    const double excess = 1.0 - qhigh / q_hat;
+    for (std::size_t i = 0; i < n; ++i) {
+      dr[i] = neg_beta_high / tau_star[i] * excess * rate[i];
     }
-    dxdt[rate_index(i)] = dr;
+  } else {
+    // w(g_i) staged in dr, as in PatchedTimelyFluidModel::rhs.
+    for (std::size_t i = 0; i < n; ++i) {
+      dr[i] = PatchedTimelyFluidModel::weight(grad[i]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = dr[i];
+      dr[i] = (1.0 - w) * delta / tau_star[i] -
+              w * P.beta / tau_star[i] * rate[i] * pi_state[i];
+    }
   }
 }
 
-void PatchedTimelyPiFluidModel::clamp(std::span<double> x) const {
-  const double qcap = 4.0 * params_.qhigh_pkts();
-  x[queue_index()] = std::clamp(x[queue_index()], 0.0, qcap);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    x[rate_index(i)] =
-        std::clamp(x[rate_index(i)], kMinRatePps, params_.capacity_pps());
-    x[gradient_index(i)] = std::clamp(x[gradient_index(i)], -100.0, 100.0);
-    x[pi_state_index(i)] = std::clamp(x[pi_state_index(i)], -10.0, 10.0);
-  }
+std::vector<StateBounds> PatchedTimelyPiFluidModel::bounds() const {
+  const std::size_t n = nflows();
+  return {{queue_index(), 1, 0.0, kQueueCapFactor * params_.qhigh_pkts()},
+          {rate_index(0), n, kMinRatePps, params_.capacity_pps()},
+          {gradient_index(0), n, -100.0, 100.0},
+          {pi_state_index(0), n, -10.0, 10.0}};
 }
 
 }  // namespace ecnd::fluid

@@ -17,6 +17,8 @@
 // per-flow rates R_i = f(p_i) retain arbitrary ratios: delay is guaranteed,
 // fairness is not (Figure 19, the constructive half of Theorem 6).
 
+#include <vector>
+
 #include "fluid/dcqcn_model.hpp"
 #include "fluid/timely_model.hpp"
 
@@ -62,7 +64,8 @@ class DcqcnPiFluidModel final : public FluidModel {
   }
   void rhs(double t, std::span<const double> x, const History& past,
            std::span<double> dxdt) const override;
-  void clamp(std::span<double> x) const override;
+  /// DCQCN's bounds, plus p in [0, 1].
+  std::vector<StateBounds> bounds() const override;
   double max_delay() const override { return flow_dynamics_.max_delay(); }
 
  private:
@@ -87,6 +90,9 @@ struct TimelyPiParams {
 ///   x[0] = q, x[1 + i] = R_i, x[1 + N + i] = g_i, x[1 + 2N + i] = p_i.
 class PatchedTimelyPiFluidModel final : public FluidModel {
  public:
+  /// Throws InvariantViolation when require_valid_timely_params() rejects
+  /// `params`, when q_ref lies outside (C*T_low, C*T_high), and when the
+  /// rate floor is infeasible (as TimelyFluidBase).
   PatchedTimelyPiFluidModel(TimelyFluidParams params, TimelyPiParams pi);
 
   const TimelyFluidParams& params() const { return params_; }
@@ -114,7 +120,8 @@ class PatchedTimelyPiFluidModel final : public FluidModel {
   }
   void rhs(double t, std::span<const double> x, const History& past,
            std::span<double> dxdt) const override;
-  void clamp(std::span<double> x) const override;
+  /// The base model's bounds, plus p_i in [-10, 10].
+  std::vector<StateBounds> bounds() const override;
   double max_delay() const override;
   /// Rates are read back at most tau' (the PI error term); only the
   /// gradient's older queue sample reaches tau' + tau*, so the queue alone
@@ -128,13 +135,12 @@ class PatchedTimelyPiFluidModel final : public FluidModel {
   std::size_t nflows() const {
     return static_cast<std::size_t>(params_.num_flows);
   }
-  double update_interval(double rate_pps) const;
   double feedback_delay(double q_pkts) const;
 
   TimelyFluidParams params_;
   TimelyPiParams pi_;
-  // Scratch for the batched per-flow delayed queue lookups (single-threaded
-  // per solver, like the base model's).
+  // Scratch for the per-flow passes and their batched delayed queue lookups
+  // (single-threaded per solver, like the base model's).
   mutable std::vector<double> tau_star_buf_;
   mutable std::vector<double> lookup_times_;
   mutable std::vector<double> lookup_vals_;

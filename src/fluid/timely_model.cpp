@@ -1,15 +1,22 @@
 #include "fluid/timely_model.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace ecnd::fluid {
 
+void require_valid_timely_params(const char* component,
+                                 const TimelyFluidParams& p) {
+  require_param(component, "num_flows", p.num_flows, p.num_flows >= 1,
+                "need at least one flow");
+  require_param(component, "t_high", p.t_high, p.t_high > p.t_low,
+                "T_high must exceed T_low");
+  require_param(component, "d_min_rtt", p.d_min_rtt, p.d_min_rtt > 0.0,
+                "D_minRTT must be positive");
+}
+
 TimelyFluidBase::TimelyFluidBase(TimelyFluidParams params) : params_(params) {
-  assert(params_.num_flows >= 1);
-  assert(params_.t_high > params_.t_low);
-  assert(params_.d_min_rtt > 0.0);
+  require_valid_timely_params("TimelyFluidBase", params_);
   require_min_rate_feasible("TimelyFluidBase", params_.num_flows, kMinRatePps,
                             params_.capacity_pps());
 }
@@ -31,14 +38,11 @@ double TimelyFluidBase::suggested_dt() const {
   return std::clamp(std::min(min_delay, params_.d_min_rtt) / 8.0, 5e-8, 5e-7);
 }
 
-void TimelyFluidBase::clamp(std::span<double> x) const {
-  const double qcap = kQueueCapFactor * params_.qhigh_pkts();
-  x[queue_index()] = std::clamp(x[queue_index()], 0.0, qcap);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    x[rate_index(i)] =
-        std::clamp(x[rate_index(i)], kMinRatePps, params_.capacity_pps());
-    x[gradient_index(i)] = std::clamp(x[gradient_index(i)], -100.0, 100.0);
-  }
+std::vector<StateBounds> TimelyFluidBase::bounds() const {
+  const std::size_t n = nflows();
+  return {{queue_index(), 1, 0.0, kQueueCapFactor * params_.qhigh_pkts()},
+          {rate_index(0), n, kMinRatePps, params_.capacity_pps()},
+          {gradient_index(0), n, -100.0, 100.0}};
 }
 
 double TimelyFluidBase::max_delay() const {
@@ -51,9 +55,8 @@ double TimelyFluidBase::max_delay() const {
 }
 
 double TimelyFluidBase::update_interval(double rate_pps) const {
-  // Equation 23.
-  const double r = std::max(rate_pps, kMinRatePps);
-  return std::max(params_.segment_pkts() / r, params_.d_min_rtt);
+  return rate_update_interval(params_.segment_pkts(), params_.d_min_rtt,
+                              rate_pps);
 }
 
 double TimelyFluidBase::feedback_delay(double q_pkts) const {
@@ -80,37 +83,54 @@ void TimelyFluidBase::gradient_rhs(double t, std::span<const double> x,
   // update interval apart; both are read through the measured-queue lens so
   // jitter perturbs the *difference* (the paper's "noisy feedback" effect).
   // The recent sample is exactly the q_hat the rate branches use.
-  const double q_recent = mq.q_hat;
+  const TimelyFluidParams& P = params_;
   const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  const double* grad = x.data() + gradient_index(0);
+  double* dgrad = dxdt.data() + gradient_index(0);
   tau_star_buf_.resize(n);
   lookup_times_.resize(n);
   lookup_vals_.resize(n);
+  double* tau_star = tau_star_buf_.data();
+  double* times = lookup_times_.data();
+  const double segment = P.segment_pkts();
+  const double t_recent = t - mq.tau_prime;  // (t - tau') - tau*_i below
   for (std::size_t i = 0; i < n; ++i) {
-    tau_star_buf_[i] = update_interval(x[rate_index(static_cast<int>(i))]);
-    lookup_times_[i] = t - mq.tau_prime - tau_star_buf_[i];
+    tau_star[i] = rate_update_interval(segment, P.d_min_rtt, rate[i]);
+    times[i] = t_recent - tau_star[i];
   }
   // Batched per-flow lookups: flows with bitwise-equal rates (the symmetric
   // many-flow case) share one history search.
   past.values_at(queue_index(), lookup_times_, lookup_vals_);
-  for (int i = 0; i < params_.num_flows; ++i) {
-    const double tau_star = tau_star_buf_[static_cast<std::size_t>(i)];
-    const double jitter_prev = params_.feedback_jitter.value(t - tau_star);
-    const double q_prev = lookup_vals_[static_cast<std::size_t>(i)] +
-                          jitter_prev * params_.capacity_pps();
-    const double normalized = (q_recent - q_prev) /
-                              (params_.capacity_pps() * params_.d_min_rtt);
-    dxdt[gradient_index(i)] = params_.alpha_ewma / tau_star *
-                              (-x[gradient_index(i)] + normalized);
+
+  const double c = P.capacity_pps();
+  const double c_dmin = c * P.d_min_rtt;
+  const double q_recent = mq.q_hat;
+  const double* q_old = lookup_vals_.data();
+  const auto pass = [&](auto jitter_at) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double q_prev = q_old[i] + jitter_at(t - tau_star[i]) * c;
+      const double normalized = (q_recent - q_prev) / c_dmin;
+      dgrad[i] = P.alpha_ewma / tau_star[i] * (-grad[i] + normalized);
+    }
+  };
+  if (P.feedback_jitter.enabled()) {
+    pass([&](double when) { return P.feedback_jitter.value(when); });
+  } else {
+    pass([](double) { return 0.0; });  // what value() returns when disabled
   }
 }
 
 void TimelyFluidModel::rhs(double t, std::span<const double> x,
                            const History& past, std::span<double> dxdt) const {
   const TimelyFluidParams& P = params_;
+  const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  const double* grad = x.data() + gradient_index(0);
 
   // Equation 20.
   double sum_r = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_r += x[rate_index(i)];
+  for (std::size_t i = 0; i < n; ++i) sum_r += rate[i];
   const double q = x[queue_index()];
   double dq = sum_r - P.capacity_pps();
   if (q <= 0.0 && dq < 0.0) dq = 0.0;
@@ -121,22 +141,30 @@ void TimelyFluidModel::rhs(double t, std::span<const double> x,
   const MeasuredQueue mq = measured_queue(t, q, past);
   gradient_rhs(t, x, past, mq, dxdt);
 
+  // Equation 21. The branch on the measured queue is the same for every
+  // flow, so each branch is its own flat pass.
   const double q_hat = mq.q_hat;
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rate = x[rate_index(i)];
-    const double grad = x[gradient_index(i)];
-    const double tau_star = update_interval(rate);
-    double dr;
-    if (q_hat < P.qlow_pkts()) {
-      dr = P.delta_pps() / tau_star;  // additive increase below T_low
-    } else if (q_hat > P.qhigh_pkts()) {
-      dr = -P.beta_high / tau_star * (1.0 - P.qhigh_pkts() / q_hat) * rate;
-    } else if (P.strict_gradient_zero ? (grad < 0.0) : (grad <= 0.0)) {
-      dr = P.delta_pps() / tau_star;  // gradient-based additive increase
-    } else {
-      dr = -grad * P.beta / tau_star * rate;  // gradient-based decrease
+  const double qhigh = P.qhigh_pkts();
+  const double delta = P.delta_pps();
+  const double* tau_star = tau_star_buf_.data();
+  double* dr = dxdt.data() + rate_index(0);
+  if (q_hat < P.qlow_pkts()) {
+    // Additive increase below T_low.
+    for (std::size_t i = 0; i < n; ++i) dr[i] = delta / tau_star[i];
+  } else if (q_hat > qhigh) {
+    const double neg_beta_high = -P.beta_high;
+    const double excess = 1.0 - qhigh / q_hat;
+    for (std::size_t i = 0; i < n; ++i) {
+      dr[i] = neg_beta_high / tau_star[i] * excess * rate[i];
     }
-    dxdt[rate_index(i)] = dr;
+  } else {
+    // Gradient-based additive increase or multiplicative decrease.
+    for (std::size_t i = 0; i < n; ++i) {
+      const double g = grad[i];
+      const bool increase = P.strict_gradient_zero ? g < 0.0 : g <= 0.0;
+      dr[i] = increase ? delta / tau_star[i]
+                       : -g * P.beta / tau_star[i] * rate[i];
+    }
   }
 }
 
@@ -145,13 +173,6 @@ TimelyFluidParams patched_timely_defaults() {
   p.beta = 0.008;
   p.segment = kilobytes(16.0);
   return p;
-}
-
-double PatchedTimelyFluidModel::weight(double gradient) {
-  // Equation 30: linear ramp from 0 at g = -1/4 to 1 at g = +1/4.
-  if (gradient <= -0.25) return 0.0;
-  if (gradient >= 0.25) return 1.0;
-  return 2.0 * gradient + 0.5;
 }
 
 double PatchedTimelyFluidModel::fixed_point_queue_pkts() const {
@@ -166,9 +187,12 @@ void PatchedTimelyFluidModel::rhs(double t, std::span<const double> x,
                                   const History& past,
                                   std::span<double> dxdt) const {
   const TimelyFluidParams& P = params_;
+  const std::size_t n = nflows();
+  const double* rate = x.data() + rate_index(0);
+  const double* grad = x.data() + gradient_index(0);
 
   double sum_r = 0.0;
-  for (int i = 0; i < P.num_flows; ++i) sum_r += x[rate_index(i)];
+  for (std::size_t i = 0; i < n; ++i) sum_r += rate[i];
   const double q = x[queue_index()];
   double dq = sum_r - P.capacity_pps();
   if (q <= 0.0 && dq < 0.0) dq = 0.0;
@@ -177,25 +201,34 @@ void PatchedTimelyFluidModel::rhs(double t, std::span<const double> x,
   const MeasuredQueue mq = measured_queue(t, q, past);
   gradient_rhs(t, x, past, mq, dxdt);
 
+  // Equation 29, one flat pass per branch of the measured queue.
   const double q_hat = mq.q_hat;
-  const double qref = qref_pkts();
-  for (int i = 0; i < P.num_flows; ++i) {
-    const double rate = x[rate_index(i)];
-    const double grad = x[gradient_index(i)];
-    const double tau_star = update_interval(rate);
-    double dr;
-    if (q_hat < P.qlow_pkts()) {
-      dr = P.delta_pps() / tau_star;
-    } else if (q_hat > P.qhigh_pkts()) {
-      dr = -P.beta_high / tau_star * (1.0 - P.qhigh_pkts() / q_hat) * rate;
-    } else {
-      // Equation 29 middle branch: smooth blend of additive increase and an
-      // absolute-queue-error multiplicative decrease.
-      const double w = weight(grad);
-      dr = (1.0 - w) * P.delta_pps() / tau_star -
-           w * P.beta / tau_star * rate * (q_hat - qref) / qref;
+  const double qhigh = P.qhigh_pkts();
+  const double delta = P.delta_pps();
+  const double* tau_star = tau_star_buf_.data();
+  double* dr = dxdt.data() + rate_index(0);
+  if (q_hat < P.qlow_pkts()) {
+    for (std::size_t i = 0; i < n; ++i) dr[i] = delta / tau_star[i];
+  } else if (q_hat > qhigh) {
+    const double neg_beta_high = -P.beta_high;
+    const double excess = 1.0 - qhigh / q_hat;
+    for (std::size_t i = 0; i < n; ++i) {
+      dr[i] = neg_beta_high / tau_star[i] * excess * rate[i];
     }
-    dxdt[rate_index(i)] = dr;
+  } else {
+    // Middle branch: smooth blend of additive increase and an
+    // absolute-queue-error multiplicative decrease. w(g_i) is staged in dr
+    // first: a w read back from memory keeps the compiler from specializing
+    // the blend for w = 0 and w = 1, which would put its divisions under
+    // branches and stop the pass from vectorizing.
+    const double qref = qref_pkts();
+    const double error = q_hat - qref;  // q_hat - q'
+    for (std::size_t i = 0; i < n; ++i) dr[i] = weight(grad[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double w = dr[i];
+      dr[i] = (1.0 - w) * delta / tau_star[i] -
+              w * P.beta / tau_star[i] * rate[i] * error / qref;
+    }
   }
 }
 

@@ -23,6 +23,9 @@
 //   q_hat(t) = q(t - tau' - J(t)) + C * J(t)
 // in every place Algorithm 1 reads newRTT.
 
+#include <algorithm>
+#include <vector>
+
 #include "core/units.hpp"
 #include "fluid/fluid_model.hpp"
 #include "fluid/jitter.hpp"
@@ -80,8 +83,9 @@ class TimelyFluidBase : public FluidModel {
   /// tau'(q).
   static constexpr double kQueueCapFactor = 4.0;
 
-  /// Throws InvariantViolation when num_flows * kMinRatePps exceeds the link
-  /// capacity (the rate floor would pin demand above capacity forever).
+  /// Throws InvariantViolation when require_valid_timely_params() rejects
+  /// `params`, and when num_flows * kMinRatePps exceeds the link capacity
+  /// (the rate floor would pin demand above capacity forever).
   explicit TimelyFluidBase(TimelyFluidParams params);
 
   const TimelyFluidParams& params() const { return params_; }
@@ -102,7 +106,9 @@ class TimelyFluidBase : public FluidModel {
   std::size_t dim() const override {
     return 1 + 2 * static_cast<std::size_t>(params_.num_flows);
   }
-  void clamp(std::span<double> x) const override;
+  /// q in [0, kQueueCapFactor * C * T_high], rates in [kMinRatePps, C],
+  /// gradients in [-100, 100].
+  std::vector<StateBounds> bounds() const override;
   double max_delay() const override;
   /// Only the queue is ever read at the long tau' + tau* horizon; rates and
   /// gradients never enter the delayed terms, so the solver needs full rows
@@ -136,12 +142,15 @@ class TimelyFluidBase : public FluidModel {
   MeasuredQueue measured_queue(double t, double q_now,
                                const History& past) const;
 
+  /// Equation 22 for every flow. Also leaves tau*_i (Equation 23) in
+  /// tau_star_buf_, where the models' rate passes read it.
   void gradient_rhs(double t, std::span<const double> x, const History& past,
                     const MeasuredQueue& mq, std::span<double> dxdt) const;
 
   TimelyFluidParams params_;
-  // Scratch for the batched per-flow delayed queue lookups; models are
-  // driven single-threaded per solver (like History's own lookup scratch).
+  // Scratch for the per-flow passes and their batched delayed queue
+  // lookups; models are driven single-threaded per solver (like History's
+  // own lookup scratch).
   mutable std::vector<double> tau_star_buf_;
   mutable std::vector<double> lookup_times_;
   mutable std::vector<double> lookup_vals_;
@@ -154,6 +163,20 @@ class TimelyFluidModel final : public TimelyFluidBase {
   void rhs(double t, std::span<const double> x, const History& past,
            std::span<double> dxdt) const override;
 };
+
+/// Equation 23 with the rate floor, tau* = max(Seg / max(R, R_min),
+/// D_minRTT), given Seg in packets: per-flow passes hoist segment_pkts()
+/// (a division) and call this.
+inline double rate_update_interval(double segment_pkts, double d_min_rtt,
+                                   double rate_pps) {
+  const double r = std::max(rate_pps, TimelyFluidBase::kMinRatePps);
+  return std::max(segment_pkts / r, d_min_rtt);
+}
+
+/// Throws InvariantViolation naming `component` unless num_flows >= 1,
+/// T_high > T_low and D_minRTT > 0.
+void require_valid_timely_params(const char* component,
+                                 const TimelyFluidParams& p);
 
 /// §4.3 parameterization: patched TIMELY keeps all TIMELY defaults except
 /// beta = 0.008 and Seg = 16KB; the reference queue q' is C*T_low.
@@ -168,8 +191,15 @@ class PatchedTimelyFluidModel final : public TimelyFluidBase {
   /// Reference queue q' of Equation 29 (packets).
   double qref_pkts() const { return params_.qlow_pkts(); }
 
-  /// Weighting function w(g) of Equation 30 (piecewise-linear ramp).
-  static double weight(double gradient);
+  /// Weighting function w(g) of Equation 30: 0 for g <= -1/4, 1 for
+  /// g >= 1/4, and the ramp 2g + 1/2 between. Written as min/max of the
+  /// ramp, which equals that piecewise form bit for bit (NaN included):
+  /// 2g is exact, so 2g + 1/2 is <= +0 exactly when g <= -1/4 and >= 1
+  /// exactly when g >= 1/4. Inline and branch-free so the per-flow passes
+  /// that call it vectorize.
+  static double weight(double gradient) {
+    return std::min(std::max(2.0 * gradient + 0.5, 0.0), 1.0);
+  }
 
   /// Unique fixed-point queue length per Theorem 5 / Equation 31 (packets).
   double fixed_point_queue_pkts() const;

@@ -197,8 +197,8 @@ TEST(DdeSolver, ClampIsApplied) {
              std::span<double> dxdt) const override {
       dxdt[0] = -100.0;
     }
-    void clamp(std::span<double> x) const override {
-      if (x[0] < 0.0) x[0] = 0.0;
+    std::vector<StateBounds> bounds() const override {
+      return {{0, 1, 0.0, 0.0, StateBounds::Rule::kFloor}};
     }
     double max_delay() const override { return 1e-3; }
   };

@@ -4,13 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "control/dcqcn_analysis.hpp"
 #include "core/diagnostic.hpp"
 #include "fluid/dcqcn_model.hpp"
+#include "fluid/dde_solver.hpp"
 #include "fluid/fluid_model.hpp"
+#include "fluid/pi_models.hpp"
 #include "fluid/timely_model.hpp"
 
 namespace ecnd::fluid {
@@ -49,6 +54,157 @@ TEST(FluidSimulate, AcceptsMatchingOrEmptyOverride) {
   EXPECT_NO_THROW(simulate(m, 1e-4, 1e-5));
   EXPECT_NO_THROW(simulate(m, 1e-4, 1e-5, m.initial_state()));
   EXPECT_NO_THROW(simulate_aggregates(m, 1e-4, 1e-5, m.initial_state()));
+}
+
+// Constructor and solver input checks: each throws InvariantViolation in
+// every build (they guard allocation sizes and loop bounds, so an assert
+// that NDEBUG compiles away is not enough).
+
+/// Runs `make` and returns the diagnostic it must throw.
+template <typename Make>
+Diagnostic rejection(Make make) {
+  try {
+    make();
+  } catch (const InvariantViolation& e) {
+    return e.diagnostic();
+  }
+  ADD_FAILURE() << "expected InvariantViolation";
+  return {};
+}
+
+TEST(FluidInputChecks, DcqcnRejectsNonPositiveFlowCount) {
+  for (const int n : {0, -3}) {
+    DcqcnFluidParams p;
+    p.num_flows = n;
+    const Diagnostic d = rejection([&] { DcqcnFluidModel m(p); });
+    EXPECT_EQ(d.component, "DcqcnFluidModel");
+    EXPECT_EQ(d.variable, "num_flows");
+    EXPECT_DOUBLE_EQ(d.value, n);
+  }
+}
+
+TEST(FluidInputChecks, DcqcnRejectsKmaxNotAboveKmin) {
+  DcqcnFluidParams p;
+  p.kmax = p.kmin;
+  EXPECT_EQ(rejection([&] { DcqcnFluidModel m(p); }).variable, "kmax");
+}
+
+TEST(FluidInputChecks, DcqcnRejectsPmaxOutsideUnitInterval) {
+  for (const double pmax : {0.0, -0.1, 1.5, std::nan("")}) {
+    DcqcnFluidParams p;
+    p.pmax = pmax;
+    EXPECT_EQ(rejection([&] { DcqcnFluidModel m(p); }).variable, "pmax")
+        << pmax;
+  }
+}
+
+TEST(FluidInputChecks, DcqcnPiRejectsThroughEmbeddedModel) {
+  DcqcnFluidParams p;
+  p.num_flows = 0;
+  const Diagnostic d =
+      rejection([&] { DcqcnPiFluidModel m(p, PiControllerParams{}); });
+  EXPECT_EQ(d.variable, "num_flows");
+}
+
+TEST(FluidInputChecks, TimelyRejectsNonPositiveFlowCount) {
+  TimelyFluidParams p;
+  p.num_flows = -3;
+  const Diagnostic d = rejection([&] { TimelyFluidModel m(p); });
+  EXPECT_EQ(d.component, "TimelyFluidBase");
+  EXPECT_EQ(d.variable, "num_flows");
+}
+
+TEST(FluidInputChecks, TimelyRejectsTHighNotAboveTLow) {
+  TimelyFluidParams p = patched_timely_defaults();
+  p.t_high = p.t_low;
+  EXPECT_EQ(rejection([&] { PatchedTimelyFluidModel m(p); }).variable,
+            "t_high");
+}
+
+TEST(FluidInputChecks, TimelyRejectsNonPositiveDMinRtt) {
+  TimelyFluidParams p;
+  p.d_min_rtt = 0.0;
+  EXPECT_EQ(rejection([&] { TimelyFluidModel m(p); }).variable, "d_min_rtt");
+}
+
+TEST(FluidInputChecks, TimelyPiRejectsNonPositiveFlowCount) {
+  TimelyFluidParams p = patched_timely_defaults();
+  p.num_flows = 0;
+  const Diagnostic d =
+      rejection([&] { PatchedTimelyPiFluidModel m(p, TimelyPiParams{}); });
+  EXPECT_EQ(d.component, "PatchedTimelyPiFluidModel");
+  EXPECT_EQ(d.variable, "num_flows");
+}
+
+TEST(FluidInputChecks, TimelyPiRejectsQrefOutsideGradientBand) {
+  // C*T_low = 62.5 and C*T_high = 625 packets at the defaults.
+  for (const double qref : {62.5, 10.0, 625.0, 1e4}) {
+    TimelyPiParams pi;
+    pi.qref_pkts = qref;
+    const Diagnostic d = rejection([&] {
+      PatchedTimelyPiFluidModel m(patched_timely_defaults(), pi);
+    });
+    EXPECT_EQ(d.variable, "qref_pkts") << qref;
+    EXPECT_DOUBLE_EQ(d.value, qref);
+  }
+}
+
+TEST(FluidInputChecks, SolverRejectsWrongLengthState) {
+  DcqcnFluidParams p;
+  DcqcnFluidModel m(p);
+  const Diagnostic d = rejection(
+      [&] { DdeSolver s(m, std::vector<double>(m.dim() + 1, 0.0), 0.0, 1e-6); });
+  EXPECT_EQ(d.component, "DdeSolver");
+  EXPECT_EQ(d.variable, "initial_state");
+}
+
+TEST(FluidInputChecks, SolverRejectsNonPositiveDt) {
+  DcqcnFluidModel m(DcqcnFluidParams{});
+  for (const double dt : {0.0, -1e-6}) {
+    EXPECT_EQ(rejection([&] { DdeSolver s(m, m.initial_state(), 0.0, dt); })
+                  .variable,
+              "dt");
+  }
+}
+
+TEST(FluidInputChecks, SolverRejectsNonFiniteDt) {
+  DcqcnFluidModel m(DcqcnFluidParams{});
+  for (const double dt : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(rejection([&] { DdeSolver s(m, m.initial_state(), 0.0, dt); })
+                  .variable,
+              "dt");
+  }
+}
+
+/// A four-variable system with caller-chosen bounds.
+class BoundedSystem final : public DdeSystem {
+ public:
+  explicit BoundedSystem(std::vector<StateBounds> b) : bounds_(std::move(b)) {}
+  std::size_t dim() const override { return 4; }
+  void rhs(double, std::span<const double>, const History&,
+           std::span<double> dxdt) const override {
+    for (double& d : dxdt) d = 0.0;
+  }
+  std::vector<StateBounds> bounds() const override { return bounds_; }
+  double max_delay() const override { return 1e-3; }
+
+ private:
+  std::vector<StateBounds> bounds_;
+};
+
+TEST(FluidInputChecks, SolverRejectsOverlappingBounds) {
+  const BoundedSystem sys({{2, 2, 0.0, 1.0}, {0, 3, 0.0, 1.0}});
+  EXPECT_EQ(rejection([&] { DdeSolver s(sys, std::vector<double>(4), 0.0, 1e-3); })
+                .variable,
+            "bounds");
+}
+
+TEST(FluidInputChecks, SolverRejectsBoundsOutsideState) {
+  const BoundedSystem sys({{3, 2, 0.0, 1.0}});
+  EXPECT_EQ(rejection([&] { DdeSolver s(sys, std::vector<double>(4), 0.0, 1e-3); })
+                .variable,
+            "bounds");
 }
 
 // At 10G / 1000B the capacity is 1.25e6 pps; DCQCN's 1 Mb/s floor is 125 pps

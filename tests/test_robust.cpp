@@ -46,7 +46,9 @@ class NanInjectingModel final : public fluid::FluidModel {
   double capacity_pps() const override { return inner_.capacity_pps(); }
   std::size_t dim() const override { return inner_.dim(); }
   double max_delay() const override { return inner_.max_delay(); }
-  void clamp(std::span<double> x) const override { inner_.clamp(x); }
+  std::vector<fluid::StateBounds> bounds() const override {
+    return inner_.bounds();
+  }
 
   void rhs(double t, std::span<const double> x, const fluid::History& past,
            std::span<double> dxdt) const override {
