@@ -209,9 +209,9 @@ INSTANTIATE_TEST_SUITE_P(FlowCounts, DcqcnFixedPointSweep,
                          ::testing::Values(2, 4, 8, 10, 16, 32, 64));
 
 TEST(DcqcnFluid, RhsMemoMatchesPerFlowEvaluation) {
-  // rhs() keys a one-entry memo of the shared transcendental block on the
-  // exact bits of each flow's delayed rate. With flows 1 and 2 bitwise equal
-  // and flows 0 and 3 distinct (hit and miss paths both exercised), every
+  // rhs() computes the shared transcendental block once per run of flows
+  // whose delayed rates compare equal. With flows 1 and 2 bitwise equal and
+  // flows 0 and 3 distinct (shared and fresh blocks both exercised), every
   // derivative must equal an independent flow_rhs() evaluation bit for bit.
   DcqcnFluidParams p;
   p.num_flows = 4;

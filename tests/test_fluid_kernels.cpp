@@ -1,9 +1,10 @@
 // Bit-identity pins for the per-flow fluid kernels at a size where the
 // fast paths stop being uniform: N = 37 (odd, so every vectorized pass ends
-// in a scalar tail), a block of 21 bitwise-identical flows (one long memo /
-// values_at-duplicate run) followed by 16 distinct ones (a memo miss and a
-// fresh history search per flow), and starts inside each model's active
-// region (DCQCN's marking band, Equation 29's gradient band).
+// in a scalar tail), a block of 21 bitwise-identical flows (one long run of
+// shared DCQCN coefficients and of values_at duplicates) followed by 16
+// distinct ones (fresh coefficients and a fresh history search per flow),
+// and starts inside each model's active region (DCQCN's marking band,
+// Equation 29's gradient band).
 //
 // Each pin holds 17-digit end-state values, a digest of the whole end
 // state, and digests of rhs() itself early in the transient and at the end.
@@ -21,6 +22,7 @@
 #include <limits>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -80,7 +82,7 @@ void expect_pin(const FluidModel& m, std::vector<double> x0, const Pin& pin) {
   EXPECT_EQ(digest(dxdt), pin.end_rhs);
 }
 
-TEST(FluidKernelPins, DcqcnOddFlowCountMixedMemo) {
+TEST(FluidKernelPins, DcqcnOddFlowCountMixedRuns) {
   DcqcnFluidParams p;
   p.num_flows = kFlows;
   DcqcnFluidModel m(p);
@@ -143,7 +145,7 @@ TEST(FluidKernelPins, PatchedTimelyInsideGradientBand) {
               31186.457955127, 40873.573279075026});
 }
 
-TEST(FluidKernelPins, DcqcnPiOddFlowCountMixedMemo) {
+TEST(FluidKernelPins, DcqcnPiOddFlowCountMixedRuns) {
   DcqcnFluidParams p;
   p.num_flows = kFlows;
   DcqcnPiFluidModel m(p, PiControllerParams{});
