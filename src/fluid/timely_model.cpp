@@ -158,12 +158,17 @@ void TimelyFluidModel::rhs(double t, std::span<const double> x,
       dr[i] = neg_beta_high / tau_star[i] * excess * rate[i];
     }
   } else {
-    // Gradient-based additive increase or multiplicative decrease.
+    // Gradient-based additive increase or multiplicative decrease. The
+    // increase is staged in dr first and the decrease computed for every
+    // flow, so the select has no division under a branch and vectorizes.
+    const bool strict = P.strict_gradient_zero;
+    const double beta = P.beta;
+    for (std::size_t i = 0; i < n; ++i) dr[i] = delta / tau_star[i];
     for (std::size_t i = 0; i < n; ++i) {
       const double g = grad[i];
-      const bool increase = P.strict_gradient_zero ? g < 0.0 : g <= 0.0;
-      dr[i] = increase ? delta / tau_star[i]
-                       : -g * P.beta / tau_star[i] * rate[i];
+      const double decrease = -g * beta / tau_star[i] * rate[i];
+      const bool increase = strict ? g < 0.0 : g <= 0.0;
+      dr[i] = increase ? dr[i] : decrease;
     }
   }
 }

@@ -123,6 +123,35 @@ TEST(FluidKernelPins, TimelyOddFlowCountMixedLookups) {
               20164.531165535605, 18586.164181464239});
 }
 
+TEST(FluidKernelPins, TimelyGradientBranchDerivatives) {
+  // rhs() with the measured queue inside [C*T_low, C*T_high], so every flow
+  // takes Equation 21's gradient branch, with gradients of both signs and
+  // exactly 0 (where the strict variant of Equation 28 differs).
+  for (const bool strict : {false, true}) {
+    TimelyFluidParams p;
+    p.num_flows = kFlows;
+    p.strict_gradient_zero = strict;
+    TimelyFluidModel m(p);
+    std::vector<double> x = m.initial_state();
+    x[m.queue_index()] = 300.0;
+    for (int i = 0; i < kFlows; ++i) {
+      x[m.rate_index(i)] = 2e4 + 977.0 * i;
+      x[m.gradient_index(i)] = (i - 18) / 60.0;
+    }
+    History h(m.dim());
+    h.append(0.0, x);
+    h.append(1e-3, x);
+    std::vector<double> dxdt(m.dim());
+    m.rhs(1e-3, x, h, dxdt);
+    EXPECT_EQ(digest(dxdt),
+              strict ? 996093503277131725u : 15619860647908257682u);
+    EXPECT_EQ(dxdt[m.rate_index(0)], 1562500.0);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(dxdt[m.rate_index(18)]),
+              std::bit_cast<std::uint64_t>(strict ? -0.0 : 2936406.25));
+    EXPECT_EQ(dxdt[m.rate_index(36)], -45659243.759999998);
+  }
+}
+
 TEST(FluidKernelPins, TimelyWithJitterOddFlowCount) {
   TimelyFluidParams p;
   p.num_flows = kFlows;
