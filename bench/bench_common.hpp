@@ -46,9 +46,6 @@ inline std::string shape_line(const TimeSeries& series, double t0, double t1,
 /// must stay byte-identical whatever ECND_THREADS is, but the speedup should
 /// still be visible when regenerating figures interactively.
 inline void report_timing(const std::string& label, const par::SweepTiming& t) {
-  // The observability summary (ECND_OBS_SUMMARY=1) reports the same numbers
-  // as prof.par.* histograms; don't print them twice.
-  if (std::getenv("ECND_OBS_SUMMARY") != nullptr) return;
   std::fprintf(stderr,
                "[%s] %zu tasks on %zu threads: wall %.2fs (serial-equivalent "
                "%.2fs, slowest task %.2fs, speedup %.1fx)\n",

@@ -113,14 +113,10 @@ int main(int argc, char** argv) {
         return run_one(cell.first, cell.second, flows, duration_s, seed);
       },
       0, &timing);
-  // Same numbers live in the prof.par.* histograms when the observability
-  // summary is armed; don't print them twice.
-  if (std::getenv("ECND_OBS_SUMMARY") == nullptr) {
-    std::fprintf(stderr,
-                 "[fault_study] %zu runs on %zu threads: wall %.2fs "
-                 "(serial-equivalent %.2fs)\n",
-                 timing.tasks, timing.threads, timing.wall_s, timing.task_sum_s);
-  }
+  std::fprintf(stderr,
+               "[fault_study] %zu runs on %zu threads: wall %.2fs "
+               "(serial-equivalent %.2fs)\n",
+               timing.tasks, timing.threads, timing.wall_s, timing.task_sum_s);
 
   std::size_t slot = 0;
   for (exp::Protocol protocol :

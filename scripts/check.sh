@@ -8,15 +8,21 @@
 # scheduler, and the cheapest way to keep that promise honest is to run every
 # test on both the serial and the threaded path.
 #
-# --obs-smoke exercises the observability layer (see OBSERVABILITY.md): one
-# traced quick bench, JSON validity, metrics/trace bit-identical across thread
-# counts, and stdout CSV byte-identical with obs armed, idle, and compiled out
-# (-DECND_OBS=OFF in its own build tree).
+# --obs-smoke exercises the whole observability layer (OBSERVABILITY.md) on
+# quick runs at ECND_THREADS=1 and 4: bench_fig14 with metrics, trace,
+# metric snapshots and the profiler armed, bench_ext_fabric (fat-tree incast,
+# shuffle and PFC pause storm) with the flight recorder and the run manifest
+# armed, and both idle. Every export and manifest must be valid and
+# byte-identical across thread counts, the pause storm lossless, stdout
+# byte-identical armed vs idle, ecnd-diff clean on the identical pair and
+# divergent (with a first-divergence timestamp) on a fault_study seed pair,
+# and a -DECND_OBS=OFF build must write no export or manifest file and print
+# the same stdout.
 #
 # --report runs the quick figure set with ECND_MANIFEST armed, gates the
 # resulting manifests against bench/expectations.json via ecnd-report, and
-# checks the manifest contract: bit-identical at ECND_THREADS=1 vs 4, stdout
-# untouched by the writer, and no manifest file under -DECND_OBS=OFF.
+# checks the manifest contract: bit-identical at ECND_THREADS=1 vs 4 and
+# stdout untouched by the writer.
 #
 # --perf re-measures the engine hot loops (bench_micro_perf's dedicated
 # baseline timing loops, including the 10k-flow ns_per_flow_rhs scaling
@@ -37,28 +43,7 @@
 # --resume, and require (a) the journal reported reused cells and (b) the
 # resumed stdout is byte-identical to an uninterrupted run.
 #
-# --fabric-smoke runs the Clos fabric suite (bench_ext_fabric, quick: fat-tree
-# incast + all-to-all shuffle + PFC pause storm) under ECND_THREADS=1 and 4
-# and requires stdout and the run manifest byte-identical across thread
-# counts: ECMP path choice is a seeded hash, so multipath fabrics must keep
-# the same determinism promise as single-path sweeps.
-#
-# --flight-smoke exercises the flight recorder (OBSERVABILITY.md "Flight
-# recorder"): a quick sampled incast + pause storm with ECND_FLIGHT armed,
-# postcard/timeline/pause-tree exports byte-identical at ECND_THREADS=1 vs 4,
-# JSON validity (sampled postcards present, rooted pause tree with trigger
-# flows), and stdout byte-identical with the recorder armed, idle, and
-# compiled out (-DECND_OBS=OFF, which must also write no export files).
-#
-# --diff-smoke exercises the differential layer (OBSERVABILITY.md "Metric
-# time-series snapshots" / "Hierarchical profiler" / "ecnd-diff"): quick runs
-# with ECND_METRICS_TS and ECND_PROF armed must export byte-identical
-# snapshots and folded profiles at ECND_THREADS=1 vs 4, ecnd-diff must exit 0
-# on an identical-seed pair and nonzero (with a first-divergence timestamp)
-# on a perturbed-seed pair, stdout must stay untouched by the sampler, and a
-# -DECND_OBS=OFF build must write no snapshot/profile files.
-#
-# Usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan-only|--obs-smoke|--report|--perf|--resume-smoke|--fabric-smoke|--flight-smoke|--diff-smoke]
+# Any other argument prints the usage line and exits 2.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -75,82 +60,151 @@ run_tests() {
   ECND_THREADS="$threads" ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 }
 
-mode="${1:-all}"
+usage="usage: scripts/check.sh [--plain-only|--sanitize-only|--tsan-only|--obs-smoke|--report|--perf|--resume-smoke]"
 
-if [[ "$mode" != "--sanitize-only" && "$mode" != "--tsan-only" \
-      && "$mode" != "--obs-smoke" && "$mode" != "--report" \
-      && "$mode" != "--perf" && "$mode" != "--resume-smoke" \
-      && "$mode" != "--fabric-smoke" && "$mode" != "--flight-smoke" \
-      && "$mode" != "--diff-smoke" ]]; then
+plain_suite() {
   echo "== plain build + tests (serial and threaded sweep paths) =="
   build_suite build
   run_tests build 1
   run_tests build 4
-fi
+}
 
-if [[ "$mode" == "all" || "$mode" == "--sanitize-only" ]]; then
+sanitize_suite() {
   echo "== ASan+UBSan build + tests =="
   build_suite build-sanitize -DECND_SANITIZE=ON
   run_tests build-sanitize 4
-fi
+}
 
 # TSan is opt-in (--tsan-only): it needs its own build tree and roughly 5-15x
 # slower tests, but it is the tool that actually sees data races in the
 # parallel sweep engine — run it after touching src/core/parallel.*.
-if [[ "$mode" == "--tsan-only" ]]; then
+tsan_suite() {
   echo "== ThreadSanitizer build + tests =="
   build_suite build-tsan -DECND_TSAN=ON
   run_tests build-tsan 4
-fi
+}
 
-if [[ "$mode" == "--obs-smoke" ]]; then
-  echo "== observability smoke (bench_fig14, quick) =="
+obs_smoke() {
+  echo "== observability smoke (bench_fig14 + bench_ext_fabric, quick) =="
   build_suite build
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
-  bench=build/bench/bench_fig14_fct_vs_load
+  local fig14=build/bench/bench_fig14_fct_vs_load
+  local fabric=build/bench/bench_ext_fabric
+  local diff_bin=build/src/report/ecnd-diff
 
-  echo "-- baseline run (obs idle)"
-  ECND_QUICK=1 "$bench" > "$tmp/plain.csv" 2>/dev/null
+  # fig14 arms metrics, trace, snapshots and the profiler; the fabric suite
+  # arms the flight recorder (1 in 4 flows sampled, so even the quick grids
+  # carry postcards) and the manifest.
+  local t f
+  for t in 1 4; do
+    echo "-- idle and armed runs, ECND_THREADS=$t"
+    ECND_QUICK=1 ECND_THREADS=$t "$fig14" > "$tmp/fig14_idle$t.csv" 2>/dev/null
+    ECND_QUICK=1 ECND_THREADS=$t "$fabric" > "$tmp/fabric_idle$t.txt" 2>/dev/null
+    ECND_QUICK=1 ECND_THREADS=$t ECND_METRICS="$tmp/f$t.metrics.json" \
+      ECND_TRACE="$tmp/f$t.trace.json" ECND_METRICS_TS="$tmp/f$t" \
+      ECND_PROF="$tmp/f$t" "$fig14" > "$tmp/fig14_armed$t.csv" 2>/dev/null
+    ECND_QUICK=1 ECND_THREADS=$t ECND_FLIGHT="$tmp/x$t" ECND_FLIGHT_SAMPLE=4 \
+      ECND_MANIFEST="$tmp/x$t.manifest.json" \
+      "$fabric" > "$tmp/fabric_armed$t.txt" 2>/dev/null
+  done
 
-  echo "-- traced run, ECND_THREADS=1"
-  ECND_QUICK=1 ECND_THREADS=1 ECND_METRICS="$tmp/m1.json" \
-    ECND_TRACE="$tmp/t1.json" "$bench" > "$tmp/obs1.csv" 2>/dev/null
-  echo "-- traced run, ECND_THREADS=4"
-  ECND_QUICK=1 ECND_THREADS=4 ECND_METRICS="$tmp/m4.json" \
-    ECND_TRACE="$tmp/t4.json" "$bench" > "$tmp/obs4.csv" 2>/dev/null
+  echo "-- stdout byte-identical across thread counts and armed vs idle"
+  for t in 1 4; do
+    cmp "$tmp/fig14_idle1.csv" "$tmp/fig14_idle$t.csv"
+    cmp "$tmp/fig14_idle1.csv" "$tmp/fig14_armed$t.csv"
+    cmp "$tmp/fabric_idle1.txt" "$tmp/fabric_idle$t.txt"
+    cmp "$tmp/fabric_idle1.txt" "$tmp/fabric_armed$t.txt"
+  done
 
-  echo "-- JSON validity"
+  echo "-- exports and manifest byte-identical across thread counts"
+  for f in metrics.json trace.json metrics_ts.json prof.folded; do
+    cmp "$tmp/f1.$f" "$tmp/f4.$f"
+  done
+  for f in postcards.json timeline.json pausetree.json manifest.json; do
+    cmp "$tmp/x1.$f" "$tmp/x4.$f"
+  done
+
+  echo "-- JSON validity, sampled postcards, rooted pause tree, lossless storm"
   python3 - "$tmp" <<'EOF'
 import json, sys
 tmp = sys.argv[1]
-m = json.load(open(f"{tmp}/m1.json"))
+m = json.load(open(f"{tmp}/f1.metrics.json"))
 assert m["schema"] == "ecnd-metrics-v1", m.get("schema")
 assert m["counters"].get("sim.events", 0) > 0, "no sim.events counted"
-t = json.load(open(f"{tmp}/t1.json"))
+t = json.load(open(f"{tmp}/f1.trace.json"))
 assert isinstance(t["traceEvents"], list) and t["traceEvents"], "empty trace"
-print(f"   metrics: {len(m['counters'])} counters; trace: {len(t['traceEvents'])} events")
+ts = json.load(open(f"{tmp}/f1.metrics_ts.json"))
+assert ts["schema"] == "ecnd-metrics-ts-v1" and ts["tasks"], "no snapshots"
+assert open(f"{tmp}/f1.prof.folded").read(), "empty folded profile"
+p = json.load(open(f"{tmp}/x1.postcards.json"))
+assert p["schema"] == "ecnd-flight-postcards-v1", p.get("schema")
+records = sum(len(t["records"]) for t in p["tasks"])
+assert records > 0, "no postcards sampled"
+hop = next(r for t in p["tasks"] if t["records"] for r in t["records"])
+assert hop["port"] and hop["t_out_ps"] >= hop["t_in_ps"], hop
+tl = json.load(open(f"{tmp}/x1.timeline.json"))
+spans = [e for e in tl["traceEvents"] if e.get("ph") == "X"]
+assert spans, "no flow spans in the timeline"
+pt = json.load(open(f"{tmp}/x1.pausetree.json"))
+assert pt["schema"] == "ecnd-flight-pausetree-v1", pt.get("schema")
+stormy = [task for task in pt["tasks"] if task["nodes"]]
+assert stormy, "no pause records in the pause tree"
+for task in stormy:
+    roots = [n for n in task["nodes"] if n["parent"] == 0]
+    assert roots and task["roots"] >= len({n["id"] for n in roots}) > 0
+    assert all(n["trigger_flow"] > 0 for n in task["nodes"]), "unattributed pause"
+    assert task["top_offender"]["flow"] > 0
+obs = json.load(open(f"{tmp}/x1.manifest.json"))["observables"]
+for variant in ("default", "tight"):
+    assert obs[f"pause_depth.{variant}"] >= 1, variant
+    assert obs[f"storm_drops.{variant}"] == 0, variant
+assert any(k.startswith("incast_fct_ms.") for k in obs), "no incast observables"
+print(f"   {len(m['counters'])} counters, {len(t['traceEvents'])} trace events, "
+      f"{records} postcards, {len(spans)} spans, "
+      f"{sum(len(task['nodes']) for task in stormy)} pause nodes, "
+      f"{len(obs)} manifest observables")
 EOF
 
-  echo "-- determinism across thread counts"
-  cmp "$tmp/m1.json" "$tmp/m4.json"
-  cmp "$tmp/t1.json" "$tmp/t4.json"
+  echo "-- ecnd-diff: identical pair exits 0, perturbed-seed pair diverges"
+  "$diff_bin" "$tmp/f1.metrics_ts.json" "$tmp/f4.metrics_ts.json" \
+    > "$tmp/d_same.md"
+  ECND_THREADS=2 ECND_METRICS_TS="$tmp/p1" \
+    build/examples/fault_study 4 0.05 1 > /dev/null 2>&1
+  ECND_THREADS=2 ECND_METRICS_TS="$tmp/p2" \
+    build/examples/fault_study 4 0.05 2 > /dev/null 2>&1
+  if "$diff_bin" "$tmp/p1.metrics_ts.json" "$tmp/p2.metrics_ts.json" \
+      > "$tmp/d_diff.md"; then
+    echo "ERROR: ecnd-diff reported no drift between different seeds" >&2
+    exit 1
+  fi
+  if ! grep -q 'first divergence' "$tmp/d_diff.md"; then
+    echo "ERROR: perturbed-pair diff carries no divergence timestamp" >&2
+    exit 1
+  fi
 
-  echo "-- stdout CSV purity (obs armed vs idle)"
-  cmp "$tmp/plain.csv" "$tmp/obs1.csv"
-  cmp "$tmp/plain.csv" "$tmp/obs4.csv"
-
-  echo "-- stdout CSV purity (-DECND_OBS=OFF build)"
+  echo "-- compiled out (-DECND_OBS=OFF): no files, stdout identical"
   cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_fig14_fct_vs_load
-  ECND_QUICK=1 build-obs-off/bench/bench_fig14_fct_vs_load \
-    > "$tmp/off.csv" 2>/dev/null
-  cmp "$tmp/plain.csv" "$tmp/off.csv"
+  cmake --build build-obs-off -j --target bench_fig14_fct_vs_load bench_ext_fabric
+  mkdir "$tmp/off"
+  ECND_QUICK=1 ECND_METRICS="$tmp/off/f.metrics.json" \
+    ECND_TRACE="$tmp/off/f.trace.json" ECND_METRICS_TS="$tmp/off/f" \
+    ECND_PROF="$tmp/off/f" ECND_MANIFEST="$tmp/off/f.manifest.json" \
+    build-obs-off/bench/bench_fig14_fct_vs_load > "$tmp/fig14_off.csv" 2>/dev/null
+  ECND_QUICK=1 ECND_FLIGHT="$tmp/off/x" ECND_FLIGHT_SAMPLE=4 \
+    ECND_MANIFEST="$tmp/off/x.manifest.json" \
+    build-obs-off/bench/bench_ext_fabric > "$tmp/fabric_off.txt" 2>/dev/null
+  if [[ -n "$(ls -A "$tmp/off")" ]]; then
+    echo "ERROR: -DECND_OBS=OFF build wrote: $(ls "$tmp/off")" >&2
+    exit 1
+  fi
+  cmp "$tmp/fig14_idle1.csv" "$tmp/fig14_off.csv"
+  cmp "$tmp/fabric_idle1.txt" "$tmp/fabric_off.txt"
 
   echo "obs smoke: all checks passed"
-fi
+}
 
-if [[ "$mode" == "--report" ]]; then
+report() {
   echo "== regression report (quick figure set + ecnd-report) =="
   build_suite build
   tmp="$(mktemp -d)"
@@ -199,16 +253,6 @@ if [[ "$mode" == "--report" ]]; then
   build/bench/bench_fig02_dcqcn_validation > "$tmp/fig02_idle.csv" 2>/dev/null
   cmp "$tmp/out1/fig02.csv" "$tmp/fig02_idle.csv"
 
-  echo "-- no manifest under -DECND_OBS=OFF"
-  cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_fig02_dcqcn_validation
-  ECND_MANIFEST="$tmp/should_not_exist.json" \
-    build-obs-off/bench/bench_fig02_dcqcn_validation > /dev/null 2>&1
-  if [[ -e "$tmp/should_not_exist.json" ]]; then
-    echo "ERROR: -DECND_OBS=OFF build wrote a manifest" >&2
-    exit 1
-  fi
-
   # A fresh perf measurement turns the perf rows into real
   # current-vs-baseline comparisons instead of "no current measurement" warns.
   echo "-- measuring current perf (bench_micro_perf baseline loops)"
@@ -225,9 +269,9 @@ if [[ "$mode" == "--report" ]]; then
     --bench-current "$tmp/bench_current.json" \
     --out REPORT.md
   echo "report: wrote REPORT.md"
-fi
+}
 
-if [[ "$mode" == "--perf" ]]; then
+perf_gate() {
   echo "== perf gate (bench_micro_perf vs committed BENCH_obs.json) =="
   build_suite build
   tmp="$(mktemp -d)"
@@ -262,9 +306,9 @@ sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
     echo "   $w: correct"
   done
   echo "perf gate: perfbench outputs bit-identical to the reference"
-fi
+}
 
-if [[ "$mode" == "--resume-smoke" ]]; then
+resume_smoke() {
   echo "== crash-resume smoke (bench_fig14 + ECND_JOURNAL) =="
   build_suite build
   tmp="$(mktemp -d)"
@@ -320,171 +364,18 @@ if [[ "$mode" == "--resume-smoke" ]]; then
   fi
 
   echo "resume smoke: all checks passed"
-fi
+}
 
-if [[ "$mode" == "--fabric-smoke" ]]; then
-  echo "== fabric smoke (bench_ext_fabric, quick, 1 vs 4 threads) =="
-  build_suite build
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  bench=build/bench/bench_ext_fabric
-
-  echo "-- quick fabric suite, ECND_THREADS=1"
-  ECND_QUICK=1 ECND_THREADS=1 ECND_MANIFEST="$tmp/fabric1.json" \
-    "$bench" > "$tmp/fabric1.txt" 2>/dev/null
-  echo "-- quick fabric suite, ECND_THREADS=4"
-  ECND_QUICK=1 ECND_THREADS=4 ECND_MANIFEST="$tmp/fabric4.json" \
-    "$bench" > "$tmp/fabric4.txt" 2>/dev/null
-
-  echo "-- stdout byte-identical across thread counts"
-  cmp "$tmp/fabric1.txt" "$tmp/fabric4.txt"
-  echo "-- manifest byte-identical across thread counts"
-  cmp "$tmp/fabric1.json" "$tmp/fabric4.json"
-
-  echo "-- manifest reports a lossless pause storm"
-  python3 - "$tmp" <<'EOF'
-import json, sys
-m = json.load(open(f"{sys.argv[1]}/fabric1.json"))
-obs = m["observables"]
-for variant in ("default", "tight"):
-    assert obs[f"pause_depth.{variant}"] >= 1, variant
-    assert obs[f"storm_drops.{variant}"] == 0, variant
-incast_keys = [k for k in obs if k.startswith("incast_fct_ms.")]
-assert incast_keys, "no incast observables in the manifest"
-print(f"   {len(obs)} observables; pause storm lossless in both variants")
-EOF
-
-  echo "fabric smoke: all checks passed"
-fi
-
-if [[ "$mode" == "--flight-smoke" ]]; then
-  echo "== flight recorder smoke (bench_ext_fabric, quick, sampled) =="
-  build_suite build
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  bench=build/bench/bench_ext_fabric
-
-  echo "-- baseline run (recorder idle)"
-  ECND_QUICK=1 ECND_THREADS=1 "$bench" > "$tmp/idle.txt" 2>/dev/null
-
-  # Sample modulus 4 (1 in 4 flows) so even the quick grids carry postcards.
-  echo "-- armed run, ECND_THREADS=1"
-  ECND_QUICK=1 ECND_THREADS=1 ECND_FLIGHT="$tmp/fl1" ECND_FLIGHT_SAMPLE=4 \
-    "$bench" > "$tmp/armed1.txt" 2>/dev/null
-  echo "-- armed run, ECND_THREADS=4"
-  ECND_QUICK=1 ECND_THREADS=4 ECND_FLIGHT="$tmp/fl4" ECND_FLIGHT_SAMPLE=4 \
-    "$bench" > "$tmp/armed4.txt" 2>/dev/null
-
-  echo "-- exports byte-identical across thread counts"
-  for kind in postcards timeline pausetree; do
-    cmp "$tmp/fl1.$kind.json" "$tmp/fl4.$kind.json"
-  done
-
-  echo "-- stdout untouched by the recorder (armed vs idle)"
-  cmp "$tmp/idle.txt" "$tmp/armed1.txt"
-  cmp "$tmp/idle.txt" "$tmp/armed4.txt"
-
-  echo "-- JSON validity (postcards sampled, pause tree rooted + attributed)"
-  python3 - "$tmp" <<'EOF'
-import json, sys
-tmp = sys.argv[1]
-p = json.load(open(f"{tmp}/fl1.postcards.json"))
-assert p["schema"] == "ecnd-flight-postcards-v1", p.get("schema")
-records = sum(len(t["records"]) for t in p["tasks"])
-assert records > 0, "no postcards sampled"
-hop = next(r for t in p["tasks"] if t["records"] for r in t["records"])
-assert hop["port"] and hop["t_out_ps"] >= hop["t_in_ps"], hop
-t = json.load(open(f"{tmp}/fl1.timeline.json"))
-spans = [e for e in t["traceEvents"] if e.get("ph") == "X"]
-assert spans, "no flow spans in the timeline"
-pt = json.load(open(f"{tmp}/fl1.pausetree.json"))
-assert pt["schema"] == "ecnd-flight-pausetree-v1", pt.get("schema")
-stormy = [task for task in pt["tasks"] if task["nodes"]]
-assert stormy, "no pause records in the pause tree"
-for task in stormy:
-    roots = [n for n in task["nodes"] if n["parent"] == 0]
-    assert roots and task["roots"] >= len({n["id"] for n in roots}) > 0
-    assert all(n["trigger_flow"] > 0 for n in task["nodes"]), "unattributed pause"
-    assert task["top_offender"]["flow"] > 0
-print(f"   {records} postcards, {len(spans)} spans, "
-      f"{sum(len(task['nodes']) for task in stormy)} pause nodes")
-EOF
-
-  echo "-- compiled out (-DECND_OBS=OFF): no export files, stdout identical"
-  cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_ext_fabric
-  ECND_QUICK=1 ECND_FLIGHT="$tmp/off" ECND_FLIGHT_SAMPLE=4 \
-    build-obs-off/bench/bench_ext_fabric > "$tmp/off.txt" 2>/dev/null
-  for kind in postcards timeline pausetree; do
-    if [[ -e "$tmp/off.$kind.json" ]]; then
-      echo "ERROR: -DECND_OBS=OFF build wrote $tmp/off.$kind.json" >&2
-      exit 1
-    fi
-  done
-  cmp "$tmp/idle.txt" "$tmp/off.txt"
-
-  echo "flight smoke: all checks passed"
-fi
-
-if [[ "$mode" == "--diff-smoke" ]]; then
-  echo "== differential smoke (snapshots + profiler + ecnd-diff) =="
-  build_suite build
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-  bench=build/bench/bench_fig14_fct_vs_load
-  diff_bin=build/src/report/ecnd-diff
-
-  echo "-- baseline run (sampler idle)"
-  ECND_QUICK=1 ECND_THREADS=1 "$bench" > "$tmp/idle.csv" 2>/dev/null
-
-  echo "-- armed run, ECND_THREADS=1"
-  ECND_QUICK=1 ECND_THREADS=1 ECND_METRICS_TS="$tmp/s1" ECND_PROF="$tmp/s1" \
-    "$bench" > "$tmp/armed1.csv" 2>/dev/null
-  echo "-- armed run, ECND_THREADS=4"
-  ECND_QUICK=1 ECND_THREADS=4 ECND_METRICS_TS="$tmp/s4" ECND_PROF="$tmp/s4" \
-    "$bench" > "$tmp/armed4.csv" 2>/dev/null
-
-  echo "-- exports byte-identical across thread counts"
-  cmp "$tmp/s1.metrics_ts.json" "$tmp/s4.metrics_ts.json"
-  cmp "$tmp/s1.prof.folded" "$tmp/s4.prof.folded"
-
-  echo "-- stdout untouched by the sampler (armed vs idle)"
-  cmp "$tmp/idle.csv" "$tmp/armed1.csv"
-  cmp "$tmp/idle.csv" "$tmp/armed4.csv"
-
-  echo "-- ecnd-diff: identical-seed pair exits 0"
-  "$diff_bin" "$tmp/s1.metrics_ts.json" "$tmp/s4.metrics_ts.json" \
-    > "$tmp/d_same.md"
-
-  echo "-- ecnd-diff: perturbed-seed pair exits nonzero"
-  ECND_THREADS=2 ECND_METRICS_TS="$tmp/p1" \
-    build/examples/fault_study 4 0.05 1 > /dev/null 2>&1
-  ECND_THREADS=2 ECND_METRICS_TS="$tmp/p2" \
-    build/examples/fault_study 4 0.05 2 > /dev/null 2>&1
-  if "$diff_bin" "$tmp/p1.metrics_ts.json" "$tmp/p2.metrics_ts.json" \
-      > "$tmp/d_diff.md"; then
-    echo "ERROR: ecnd-diff reported no drift between different seeds" >&2
-    exit 1
-  fi
-  if ! grep -q 'first divergence' "$tmp/d_diff.md"; then
-    echo "ERROR: perturbed-pair diff carries no divergence timestamp" >&2
-    exit 1
-  fi
-
-  echo "-- compiled out (-DECND_OBS=OFF): no snapshot/profile files"
-  cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_fig14_fct_vs_load
-  ECND_QUICK=1 ECND_METRICS_TS="$tmp/off" ECND_PROF="$tmp/off" \
-    build-obs-off/bench/bench_fig14_fct_vs_load > "$tmp/off.csv" 2>/dev/null
-  for f in "$tmp/off.metrics_ts.json" "$tmp/off.prof.folded"; do
-    if [[ -e "$f" ]]; then
-      echo "ERROR: -DECND_OBS=OFF build wrote $f" >&2
-      exit 1
-    fi
-  done
-  cmp "$tmp/idle.csv" "$tmp/off.csv"
-
-  echo "diff smoke: all checks passed"
-fi
+case "${1:-all}" in
+  all) plain_suite; sanitize_suite ;;
+  --plain-only) plain_suite ;;
+  --sanitize-only) sanitize_suite ;;
+  --tsan-only) tsan_suite ;;
+  --obs-smoke) obs_smoke ;;
+  --report) report ;;
+  --perf) perf_gate ;;
+  --resume-smoke) resume_smoke ;;
+  *) echo "$usage" >&2; exit 2 ;;
+esac
 
 echo "check.sh: all requested suites passed"

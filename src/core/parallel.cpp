@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 
+#include "core/env_knob.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/trace.hpp"
@@ -22,14 +22,9 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// Sweep instrumentation: task/sweep wall-clock histograms (these supersede
-// the stderr timing lines when ECND_OBS_SUMMARY is on) plus a deterministic
-// task counter. Worker shards merge at thread exit, inside the sweep.
+// Deterministic task counter; the sweep's wall-clock accounting is the
+// returned SweepTiming. Worker shards merge at thread exit, inside the sweep.
 const obs::Counter kTasks = obs::counter("par.tasks");
-const obs::Histogram kTaskNs =
-    obs::histogram("prof.par.task_ns", obs::Domain::kWall);
-const obs::Histogram kSweepNs =
-    obs::histogram("prof.par.sweep_ns", obs::Domain::kWall);
 // Fault accounting: every attempt that threw, retries granted by a
 // FaultPolicy, and tasks that stayed failed after their last attempt.
 const obs::Counter kTaskFailures = obs::counter("par.task_failures");
@@ -39,12 +34,8 @@ const obs::Counter kQuarantined = obs::counter("par.quarantined");
 }  // namespace
 
 std::size_t thread_count() {
-  if (const char* env = std::getenv("ECND_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed >= 1) {
-      return static_cast<std::size_t>(parsed);
-    }
+  if (const auto threads = env::count("ECND_THREADS")) {
+    return static_cast<std::size_t>(*threads);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? hw : 1;
@@ -105,7 +96,6 @@ SweepTiming parallel_for_each(std::size_t count,
     }
     task_s[i] = seconds_since(t0);
     kTasks.add();
-    kTaskNs.record(static_cast<std::uint64_t>(task_s[i] * 1e9));
   };
 
   if (threads == 1) {
@@ -161,7 +151,6 @@ SweepTiming parallel_for_each(std::size_t count,
     timing.task_sum_s += s;
     if (s > timing.task_max_s) timing.task_max_s = s;
   }
-  kSweepNs.record(static_cast<std::uint64_t>(timing.wall_s * 1e9));
   return timing;
 }
 

@@ -14,7 +14,7 @@
 namespace ecnd::fluid {
 namespace {
 
-// Fluid-engine metrics (sim-domain except the profiling histogram).
+// Fluid-engine metrics.
 // fluid.rhs_evals is 4x the attempted RK4 advances; fluid.lookup_clamped
 // counts delayed-state reads that fell off either end of the history window;
 // fluid.lookup_hint_hits counts interior reads served by the monotonic
@@ -26,8 +26,6 @@ const obs::Counter kStepRetries = obs::counter("fluid.step_retries");
 const obs::Counter kDelayedLookups = obs::counter("fluid.delayed_lookups");
 const obs::Counter kLookupClamped = obs::counter("fluid.lookup_clamped");
 const obs::Counter kLookupHintHits = obs::counter("fluid.lookup_hint_hits");
-const obs::Histogram kRunNs =
-    obs::histogram("prof.fluid.run_ns", obs::Domain::kWall);
 
 // A stale cursor can lag arbitrarily far behind a forward jump; walking more
 // than a few entries costs more than restarting the binary search.
@@ -562,7 +560,7 @@ void DdeSolver::run_until(
     double t_end,
     const std::function<void(double, std::span<const double>)>& observer,
     double sample_interval) {
-  obs::ScopedTimer timer(kRunNs, "fluid.run");
+  obs::ProfScope prof_scope("fluid.run");
   const bool tracing = obs::trace_enabled();
   // Index-based termination: the target step count is computed once from
   // (t_end - t0) / dt, so neither the step loop nor the sampling below

@@ -3,19 +3,15 @@
 #if !defined(ECND_OBS_DISABLED)
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/json_writer.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/task_store.hpp"
 
 namespace ecnd::obs {
 
@@ -52,94 +48,11 @@ struct TaskFlight {
   }
 };
 
-/// Buffers keyed by task index; same ownership discipline as the tracer's
-/// rings — a buffer is only ever written by the thread currently running its
-/// task, and the sweep engine joins workers before any export.
-class FlightStore {
- public:
-  static FlightStore& instance() {
-    static FlightStore* s = new FlightStore;
-    return *s;
-  }
+using FlightStore = detail::TaskStore<TaskFlight>;
 
-  TaskFlight* buffer_for(std::uint32_t task) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = buffers_[task];
-    if (!slot) slot = std::make_unique<TaskFlight>(capacity_);
-    return slot.get();
-  }
-
-  void set_capacity(std::size_t cap) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = cap > 0 ? cap : 1;
-  }
-
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.clear();
-  }
-
-  std::uint64_t dropped_total() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto& [task, buf] : buffers_) total += buf->dropped();
-    return total;
-  }
-
-  std::vector<std::pair<std::uint32_t, const TaskFlight*>> snapshot() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::uint32_t, const TaskFlight*>> out;
-    out.reserve(buffers_.size());
-    for (const auto& [task, buf] : buffers_) out.emplace_back(task, buf.get());
-    return out;
-  }
-
- private:
-  std::mutex mutex_;
-  std::map<std::uint32_t, std::unique_ptr<TaskFlight>> buffers_;
-  std::size_t capacity_ = 1 << 16;
-};
-
-thread_local std::uint32_t t_flight_task = 0;
-thread_local TaskFlight* t_flight = nullptr;
-
-TaskFlight& current_buffer() {
-  const std::uint32_t task = detail::current_task();
-  if (t_flight == nullptr || t_flight_task != task) {
-    t_flight = FlightStore::instance().buffer_for(task);
-    t_flight_task = task;
-  }
-  return *t_flight;
-}
-
-std::string render_double(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
-
-void json_escape(std::ostream& out, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
-/// Chrome trace timestamps: sim microseconds with fixed 6-decimal rendering
-/// (identical to the instant-event tracer's ts format).
+/// Chrome trace timestamps: sim microseconds in the tracer's fixed format.
 std::string ts_us(std::int64_t ps) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6f", static_cast<double>(ps) / 1e6);
-  return buf;
+  return json::trace_us(static_cast<double>(ps) / 1e6);
 }
 
 /// Per-flow hop aggregate for the timeline's sub-slices: one slice per hop of
@@ -159,7 +72,7 @@ struct HopSlice {
 namespace detail {
 
 void flight_push_hop(const FlightHop& hop) {
-  TaskFlight& buf = current_buffer();
+  TaskFlight& buf = FlightStore::instance().current();
   ++buf.hop_attempts;
   if (buf.hops.size() < buf.cap) {
     buf.hops.push_back(hop);
@@ -170,19 +83,16 @@ void flight_push_hop(const FlightHop& hop) {
 }
 
 void flight_push_flow(const FlightFlow& flow) {
-  current_buffer().flows.push_back(flow);
+  FlightStore::instance().current().flows.push_back(flow);
   kFlightFlows.add();
 }
 
 void flight_push_pause(const FlightPause& pause) {
-  current_buffer().pauses.push_back(pause);
+  FlightStore::instance().current().pauses.push_back(pause);
   kFlightPauses.add();
 }
 
-void flight_reset() {
-  FlightStore::instance().clear();
-  t_flight = nullptr;
-}
+void flight_reset() { FlightStore::instance().clear(); }
 
 }  // namespace detail
 
@@ -218,12 +128,11 @@ void write_flight_postcards_json(std::ostream& out) {
     const char* sep = "\n";
     for (const FlightHop& h : buf->hops) {
       out << sep << "{\"flow\":" << h.flow_id << ",\"seq\":" << h.seq
-          << ",\"port\":\"";
-      json_escape(out, h.port);
-      out << "\",\"t_in_ps\":" << h.t_in_ps << ",\"t_out_ps\":" << h.t_out_ps
+          << ",\"port\":" << json::quote(h.port)
+          << ",\"t_in_ps\":" << h.t_in_ps << ",\"t_out_ps\":" << h.t_out_ps
           << ",\"queue_b\":" << h.queue_bytes
           << ",\"dwell_ps\":" << h.pause_dwell_ps
-          << ",\"mark_p\":" << render_double(h.mark_prob)
+          << ",\"mark_p\":" << json::number(h.mark_prob)
           << ",\"marked\":" << (h.marked ? "true" : "false")
           << ",\"ecmp\":[" << h.ecmp_candidates << "," << h.ecmp_choice
           << "]}";
@@ -298,12 +207,10 @@ void write_flight_timeline_json(std::ostream& out) {
         const HopSlice& s = slices[h];
         const std::uint64_t tid = base + 1 + static_cast<std::uint64_t>(h);
         out << sep << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << task
-            << ",\"tid\":" << tid << ",\"args\":{\"name\":\"hop " << h << " ";
-        json_escape(out, s.port);
-        out << "\"}}";
-        out << sep << "{\"name\":\"";
-        json_escape(out, s.port);
-        out << "\",\"ph\":\"X\",\"pid\":" << task << ",\"tid\":" << tid
+            << ",\"tid\":" << tid << ",\"args\":{\"name\":"
+            << json::quote("hop " + std::to_string(h) + " " + s.port) << "}}";
+        out << sep << "{\"name\":" << json::quote(s.port)
+            << ",\"ph\":\"X\",\"pid\":" << task << ",\"tid\":" << tid
             << ",\"ts\":" << ts_us(s.t_first_in_ps)
             << ",\"dur\":" << ts_us(s.t_last_out_ps - s.t_first_in_ps)
             << ",\"args\":{\"packets\":" << s.packets << ",\"marks\":" << s.marks
@@ -360,31 +267,14 @@ void write_flight_pausetree_json(std::ostream& out) {
       out << sep << "{\"id\":" << p.pause_id << ",\"parent\":" << p.parent_id
           << ",\"t_ps\":" << p.t_ps << ",\"switch\":" << p.switch_id
           << ",\"ingress_port\":" << p.ingress_port
-          << ",\"egress_port\":" << p.egress_port << ",\"egress\":\"";
-      json_escape(out, p.egress_name);
-      out << "\",\"trigger_flow\":" << p.trigger_flow << "}";
+          << ",\"egress_port\":" << p.egress_port
+          << ",\"egress\":" << json::quote(p.egress_name)
+          << ",\"trigger_flow\":" << p.trigger_flow << "}";
       sep = ",\n";
     }
     out << "\n]}";
   }
   out << "\n]}\n";
-}
-
-void write_flight_files(const char* prefix) {
-  const auto write_one = [&](const char* suffix,
-                             void (*writer)(std::ostream&)) {
-    const std::string path = std::string(prefix) + suffix;
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "[obs] cannot open ECND_FLIGHT path %s\n",
-                   path.c_str());
-      return;
-    }
-    writer(out);
-  };
-  write_one(".postcards.json", &write_flight_postcards_json);
-  write_one(".timeline.json", &write_flight_timeline_json);
-  write_one(".pausetree.json", &write_flight_pausetree_json);
 }
 
 }  // namespace ecnd::obs

@@ -159,10 +159,6 @@ void write_flight_postcards_json(std::ostream& out);
 void write_flight_timeline_json(std::ostream& out);
 void write_flight_pausetree_json(std::ostream& out);
 
-/// Write all three export files under `prefix` (the ECND_FLIGHT value):
-/// <prefix>.postcards.json, <prefix>.timeline.json, <prefix>.pausetree.json.
-void write_flight_files(const char* prefix);
-
 #else  // ECND_OBS_DISABLED
 
 inline bool flight_enabled() { return false; }
@@ -178,7 +174,6 @@ inline void set_flight_capacity(std::size_t) {}
 void write_flight_postcards_json(std::ostream& out);
 void write_flight_timeline_json(std::ostream& out);
 void write_flight_pausetree_json(std::ostream& out);
-inline void write_flight_files(const char*) {}
 
 #endif  // ECND_OBS_DISABLED
 

@@ -2,14 +2,12 @@
 
 #if !defined(ECND_OBS_DISABLED)
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
+#include "core/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -17,46 +15,9 @@ namespace ecnd::obs {
 
 namespace {
 
-/// Shortest-round-trip decimal rendering: deterministic across platforms
-/// using the same IEEE doubles, unlike printf("%g") with locale and
-/// precision choices. Non-finite values render as JSON null.
-std::string render_double(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
-
-std::string render_int(std::int64_t v) { return std::to_string(v); }
-std::string render_uint(std::uint64_t v) { return std::to_string(v); }
-
-std::string render_string(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-/// FNV-1a 64-bit over the default (sim-domain) metrics dump: a compact,
-/// deterministic fingerprint of every counter/gauge/histogram the run
-/// produced. Two runs with the same digest did the same simulated work.
+/// FNV-1a 64-bit over the metrics dump: a compact, deterministic fingerprint
+/// of every counter/gauge/histogram the run produced. Two runs with the same
+/// digest did the same simulated work.
 std::uint64_t metrics_digest() {
   std::ostringstream dump;
   dump_metrics_json(dump);
@@ -74,7 +35,7 @@ void write_section(std::ostream& out, const char* name,
   out << "  \"" << name << "\": {";
   const char* sep = "";
   for (const auto& [key, rendered] : entries) {
-    out << sep << "\n    " << render_string(key) << ": " << rendered;
+    out << sep << "\n    " << json::quote(key) << ": " << rendered;
     sep = ",";
   }
   out << (entries.empty() ? "}" : "\n  }") << (trailing_comma ? ",\n" : "\n");
@@ -83,15 +44,15 @@ void write_section(std::ostream& out, const char* name,
 }  // namespace
 
 RunManifest& RunManifest::param(std::string_view name, double v) {
-  params_[std::string(name)] = render_double(v);
+  params_[std::string(name)] = json::number(v);
   return *this;
 }
 RunManifest& RunManifest::param(std::string_view name, std::int64_t v) {
-  params_[std::string(name)] = render_int(v);
+  params_[std::string(name)] = std::to_string(v);
   return *this;
 }
 RunManifest& RunManifest::param(std::string_view name, std::uint64_t v) {
-  params_[std::string(name)] = render_uint(v);
+  params_[std::string(name)] = std::to_string(v);
   return *this;
 }
 RunManifest& RunManifest::param(std::string_view name, bool v) {
@@ -99,25 +60,25 @@ RunManifest& RunManifest::param(std::string_view name, bool v) {
   return *this;
 }
 RunManifest& RunManifest::param(std::string_view name, std::string_view v) {
-  params_[std::string(name)] = render_string(v);
+  params_[std::string(name)] = json::quote(v);
   return *this;
 }
 
 RunManifest& RunManifest::observable(std::string_view name, double v) {
-  observables_[std::string(name)] = render_double(v);
+  observables_[std::string(name)] = json::number(v);
   return *this;
 }
 RunManifest& RunManifest::observable(std::string_view name,
                                      std::optional<double> v) {
-  observables_[std::string(name)] = v ? render_double(*v) : "null";
+  observables_[std::string(name)] = v ? json::number(*v) : "null";
   return *this;
 }
 RunManifest& RunManifest::observable(std::string_view name, std::int64_t v) {
-  observables_[std::string(name)] = render_int(v);
+  observables_[std::string(name)] = std::to_string(v);
   return *this;
 }
 RunManifest& RunManifest::observable(std::string_view name, std::uint64_t v) {
-  observables_[std::string(name)] = render_uint(v);
+  observables_[std::string(name)] = std::to_string(v);
   return *this;
 }
 RunManifest& RunManifest::observable(std::string_view name, bool v) {
@@ -130,13 +91,13 @@ RunManifest& RunManifest::failure(std::string_view cell,
                                   std::string_view variable, double sim_time,
                                   double value, std::string_view detail,
                                   int attempts) {
-  std::string obj = "{\"cell\": " + render_string(cell);
-  obj += ", \"component\": " + render_string(component);
-  obj += ", \"variable\": " + render_string(variable);
-  obj += ", \"sim_time\": " + render_double(sim_time);
-  obj += ", \"value\": " + render_double(value);
-  obj += ", \"attempts\": " + render_int(attempts);
-  obj += ", \"detail\": " + render_string(detail);
+  std::string obj = "{\"cell\": " + json::quote(cell);
+  obj += ", \"component\": " + json::quote(component);
+  obj += ", \"variable\": " + json::quote(variable);
+  obj += ", \"sim_time\": " + json::number(sim_time);
+  obj += ", \"value\": " + json::number(value);
+  obj += ", \"attempts\": " + std::to_string(attempts);
+  obj += ", \"detail\": " + json::quote(detail);
   obj += "}";
   failures_.push_back(std::move(obj));
   return *this;
@@ -144,7 +105,7 @@ RunManifest& RunManifest::failure(std::string_view cell,
 
 void RunManifest::write(std::ostream& out) const {
   out << "{\n  \"schema\": \"" << kManifestSchema << "\",\n";
-  out << "  \"tool\": " << render_string(tool_) << ",\n";
+  out << "  \"tool\": " << json::quote(tool_) << ",\n";
   write_section(out, "params", params_, /*trailing_comma=*/true);
   write_section(out, "observables", observables_, /*trailing_comma=*/true);
 
@@ -187,7 +148,7 @@ void RunManifest::write(std::ostream& out) const {
     const char* threads = std::getenv("ECND_THREADS");
     out << "  \"environment\": {\n"
         << "    \"ecnd_threads\": "
-        << (threads != nullptr ? render_string(threads) : "null") << ",\n"
+        << (threads != nullptr ? json::quote(threads) : "null") << ",\n"
         << "    \"hw_threads\": " << std::thread::hardware_concurrency()
         << "\n  }\n";
   }
@@ -204,14 +165,9 @@ const char* RunManifest::env_path() { return std::getenv("ECND_MANIFEST"); }
 
 bool RunManifest::write_if_requested() const {
   const char* path = env_path();
-  if (path == nullptr) return false;
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "[obs] cannot open ECND_MANIFEST path %s\n", path);
-    return false;
-  }
-  write(out);
-  return static_cast<bool>(out);
+  return path != nullptr &&
+         json::write_file(path, "ECND_MANIFEST",
+                          [this](std::ostream& out) { write(out); });
 }
 
 }  // namespace ecnd::obs

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
@@ -15,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "core/env_knob.hpp"
+#include "core/json_writer.hpp"
 #include "obs/flight.hpp"
 #include "obs/profile.hpp"
 #include "obs/snapshot.hpp"
@@ -44,7 +44,6 @@ enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 struct MetricInfo {
   std::string name;
   Kind kind;
-  Domain domain;
   std::uint32_t cell;    // first cell in the shard/global layout
   std::uint32_t ncells;  // 1, or 2 + kHistogramBuckets for histograms
 };
@@ -60,7 +59,7 @@ class Registry {
   }
 
   std::uint32_t register_metric(std::string_view name, Kind kind,
-                                Domain domain, std::uint32_t ncells) {
+                                std::uint32_t ncells) {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (const MetricInfo& m : metrics_) {
       if (m.name == name) {
@@ -71,7 +70,7 @@ class Registry {
         return m.cell;
       }
     }
-    MetricInfo info{std::string(name), kind, domain,
+    MetricInfo info{std::string(name), kind,
                     static_cast<std::uint32_t>(total_cells_), ncells};
     metrics_.push_back(info);
     total_cells_ += ncells;
@@ -151,27 +150,6 @@ void merge_calling_thread() {
   if (t_cells != nullptr) Registry::instance().merge_and_zero(*t_cells);
 }
 
-std::string format_count(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Scale a nanosecond quantity for the human summary.
-std::string format_ns(double ns) {
-  char buf[48];
-  if (ns >= 1e9) {
-    std::snprintf(buf, sizeof(buf), "%.2fs", ns / 1e9);
-  } else if (ns >= 1e6) {
-    std::snprintf(buf, sizeof(buf), "%.2fms", ns / 1e6);
-  } else if (ns >= 1e3) {
-    std::snprintf(buf, sizeof(buf), "%.2fus", ns / 1e3);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0fns", ns);
-  }
-  return buf;
-}
-
 /// Percentile from log2 buckets with Prometheus-style linear interpolation
 /// inside the bucket where the cumulative count crosses q * count. Bucket 0
 /// holds the exact value 0; bucket b >= 1 interpolates over [2^(b-1), 2^b).
@@ -196,44 +174,34 @@ double bucket_percentile(const std::uint64_t* buckets, std::uint64_t count,
   return static_cast<double>(bucket_lower_edge(kHistogramBuckets - 1));
 }
 
-/// Shortest-round-trip decimal rendering (deterministic, locale-free).
-std::string format_double(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
-
-void write_metrics_file(const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "[obs] cannot open ECND_METRICS path %s\n", path);
-    return;
-  }
-  dump_metrics_json(out, std::getenv("ECND_METRICS_WALL") != nullptr);
-}
-
-void write_trace_file(const char* path) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "[obs] cannot open ECND_TRACE path %s\n", path);
-    return;
-  }
-  write_trace_json(out);
-}
-
+/// Every export file, named from its knob: a path for ECND_METRICS and
+/// ECND_TRACE, a prefix plus fixed suffixes for the others.
 void export_at_exit() {
-  if (const char* path = std::getenv("ECND_METRICS")) write_metrics_file(path);
-  if (const char* path = std::getenv("ECND_TRACE")) write_trace_file(path);
+  if (const char* path = std::getenv("ECND_METRICS")) {
+    json::write_file(path, "ECND_METRICS", dump_metrics_json);
+  }
+  if (const char* path = std::getenv("ECND_TRACE")) {
+    json::write_file(path, "ECND_TRACE", write_trace_json);
+  }
   if (const char* prefix = std::getenv("ECND_FLIGHT")) {
-    write_flight_files(prefix);
+    const std::string p(prefix);
+    json::write_file(p + ".postcards.json", "ECND_FLIGHT",
+                     write_flight_postcards_json);
+    json::write_file(p + ".timeline.json", "ECND_FLIGHT",
+                     write_flight_timeline_json);
+    json::write_file(p + ".pausetree.json", "ECND_FLIGHT",
+                     write_flight_pausetree_json);
   }
   if (const char* prefix = std::getenv("ECND_METRICS_TS")) {
-    write_metrics_ts_file(prefix);
+    json::write_file(std::string(prefix) + ".metrics_ts.json",
+                     "ECND_METRICS_TS", write_metrics_ts_json);
   }
   if (const char* prefix = std::getenv("ECND_PROF")) {
-    write_profile_folded_file(prefix,
-                              std::getenv("ECND_PROF_WALL") != nullptr);
+    const bool wall = std::getenv("ECND_PROF_WALL") != nullptr;
+    json::write_file(std::string(prefix) + ".prof.folded", "ECND_PROF",
+                     [wall](std::ostream& out) {
+                       write_profile_folded(out, wall);
+                     });
   }
   if (std::getenv("ECND_OBS_SUMMARY")) print_summary(std::cerr);
 }
@@ -264,17 +232,14 @@ struct EnvInit {
       detail::g_snapshot_on.store(true, std::memory_order_relaxed);
     }
     if (prof) detail::g_prof_on.store(true, std::memory_order_relaxed);
-    if (const char* env = std::getenv("ECND_METRICS_TS_INTERVAL")) {
-      char* end = nullptr;
-      const double parsed = std::strtod(env, &end);
-      if (end != env && *end == '\0' && parsed > 0.0) {
-        set_snapshot_interval(parsed);
-      }
+    if (const auto cap = env::count("ECND_TRACE_CAP")) {
+      set_trace_capacity(*cap);
     }
-    if (const char* env = std::getenv("ECND_FLIGHT_SAMPLE")) {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 1) set_flight_sample(parsed);
+    if (const auto interval = env::positive("ECND_METRICS_TS_INTERVAL")) {
+      set_snapshot_interval(*interval);
+    }
+    if (const auto sample = env::count("ECND_FLIGHT_SAMPLE")) {
+      set_flight_sample(*sample);
     }
   }
 };
@@ -308,8 +273,7 @@ std::vector<SnapshotRow> snapshot_rows() {
   std::vector<SnapshotRow> rows;
   rows.reserve(metrics.size());
   for (const MetricInfo& m : metrics) {
-    rows.push_back({m.name, static_cast<std::uint8_t>(m.kind), m.domain,
-                    m.cell});
+    rows.push_back({m.name, static_cast<std::uint8_t>(m.kind), m.cell});
   }
   return rows;
 }
@@ -335,17 +299,16 @@ const char* intern(std::string_view s) {
 }
 
 Counter counter(std::string_view name) {
-  return Counter(
-      Registry::instance().register_metric(name, Kind::kCounter, Domain::kSim, 1));
+  return Counter(Registry::instance().register_metric(name, Kind::kCounter, 1));
 }
 
-Gauge gauge(std::string_view name, Domain domain) {
-  return Gauge(Registry::instance().register_metric(name, Kind::kGauge, domain, 1));
+Gauge gauge(std::string_view name) {
+  return Gauge(Registry::instance().register_metric(name, Kind::kGauge, 1));
 }
 
-Histogram histogram(std::string_view name, Domain domain) {
+Histogram histogram(std::string_view name) {
   return Histogram(Registry::instance().register_metric(
-      name, Kind::kHistogram, domain, 2 + kHistogramBuckets));
+      name, Kind::kHistogram, 2 + kHistogramBuckets));
 }
 
 std::optional<double> histogram_percentile(std::string_view name, double q) {
@@ -362,7 +325,7 @@ std::optional<double> histogram_percentile(std::string_view name, double q) {
   return std::nullopt;
 }
 
-void dump_metrics_json(std::ostream& out, bool include_wall) {
+void dump_metrics_json(std::ostream& out) {
   merge_calling_thread();
   std::vector<MetricInfo> metrics;
   std::vector<std::uint64_t> values;
@@ -372,7 +335,6 @@ void dump_metrics_json(std::ostream& out, bool include_wall) {
   // ran first (and on which thread), the dump must not.
   std::map<std::string, const MetricInfo*> counters, gauges, histograms;
   for (const MetricInfo& m : metrics) {
-    if (m.domain == Domain::kWall && !include_wall) continue;
     (m.kind == Kind::kCounter  ? counters
      : m.kind == Kind::kGauge ? gauges
                               : histograms)[m.name] = &m;
@@ -382,14 +344,14 @@ void dump_metrics_json(std::ostream& out, bool include_wall) {
   out << "  \"counters\": {";
   const char* sep = "";
   for (const auto& [name, m] : counters) {
-    out << sep << "\n    \"" << name << "\": " << format_count(values[m->cell]);
+    out << sep << "\n    " << json::quote(name) << ": " << values[m->cell];
     sep = ",";
   }
   out << (counters.empty() ? "},\n" : "\n  },\n");
   out << "  \"gauges\": {";
   sep = "";
   for (const auto& [name, m] : gauges) {
-    out << sep << "\n    \"" << name << "\": " << format_count(values[m->cell]);
+    out << sep << "\n    " << json::quote(name) << ": " << values[m->cell];
     sep = ",";
   }
   out << (gauges.empty() ? "},\n" : "\n  },\n");
@@ -397,19 +359,18 @@ void dump_metrics_json(std::ostream& out, bool include_wall) {
   sep = "";
   for (const auto& [name, m] : histograms) {
     const std::uint64_t* base = values.data() + m->cell;
-    out << sep << "\n    \"" << name << "\": {\"count\": " << format_count(base[0])
-        << ", \"sum\": " << format_count(base[1]) << ", \"buckets\": [";
+    out << sep << "\n    " << json::quote(name) << ": {\"count\": " << base[0]
+        << ", \"sum\": " << base[1] << ", \"buckets\": [";
     const char* bsep = "";
     for (int b = 0; b < kHistogramBuckets; ++b) {
       if (base[2 + b] == 0) continue;
-      out << bsep << "[" << format_count(bucket_lower_edge(b)) << ", "
-          << format_count(base[2 + b]) << "]";
+      out << bsep << "[" << bucket_lower_edge(b) << ", " << base[2 + b] << "]";
       bsep = ", ";
     }
     out << "]";
     if (base[0] > 0) {
-      out << ", \"p50\": " << format_double(bucket_percentile(base + 2, base[0], 0.5))
-          << ", \"p99\": " << format_double(bucket_percentile(base + 2, base[0], 0.99));
+      out << ", \"p50\": " << json::number(bucket_percentile(base + 2, base[0], 0.5))
+          << ", \"p99\": " << json::number(bucket_percentile(base + 2, base[0], 0.99));
     } else {
       out << ", \"p50\": null, \"p99\": null";
     }
@@ -430,35 +391,29 @@ void print_summary(std::ostream& out) {
   for (const MetricInfo& m : metrics) by_name[m.name] = &m;
 
   out << "\n== ecnd observability summary ==\n";
-  out << "-- counters / gauges (sim domain unless marked [wall]) --\n";
+  out << "-- counters / gauges --\n";
   for (const auto& [name, m] : by_name) {
     if (m->kind == Kind::kHistogram) continue;
     if (values[m->cell] == 0) continue;
     char line[160];
-    std::snprintf(line, sizeof(line), "  %-34s %20llu%s%s\n", name.c_str(),
+    std::snprintf(line, sizeof(line), "  %-34s %20llu%s\n", name.c_str(),
                   static_cast<unsigned long long>(values[m->cell]),
-                  m->kind == Kind::kGauge ? "  (max)" : "",
-                  m->domain == Domain::kWall ? "  [wall]" : "");
+                  m->kind == Kind::kGauge ? "  (max)" : "");
     out << line;
   }
-  out << "-- histograms (prof.* record wall-clock ns) --\n";
+  out << "-- histograms --\n";
   for (const auto& [name, m] : by_name) {
     if (m->kind != Kind::kHistogram) continue;
     const std::uint64_t* base = values.data() + m->cell;
     const std::uint64_t count = base[0];
     if (count == 0) continue;
-    const double mean =
-        static_cast<double>(base[1]) / static_cast<double>(count);
-    const double p50 = bucket_percentile(base + 2, count, 0.5);
-    const double p99 = bucket_percentile(base + 2, count, 0.99);
-    const bool ns = m->domain == Domain::kWall;
     char line[200];
     std::snprintf(line, sizeof(line),
-                  "  %-34s count=%-10llu mean=%-10s p50~%-10s p99~%s\n",
+                  "  %-34s count=%-10llu mean=%-10.0f p50~%-10.0f p99~%.0f\n",
                   name.c_str(), static_cast<unsigned long long>(count),
-                  ns ? format_ns(mean).c_str() : format_count(static_cast<std::uint64_t>(mean)).c_str(),
-                  ns ? format_ns(p50).c_str() : format_count(static_cast<std::uint64_t>(p50)).c_str(),
-                  ns ? format_ns(p99).c_str() : format_count(static_cast<std::uint64_t>(p99)).c_str());
+                  static_cast<double>(base[1]) / static_cast<double>(count),
+                  bucket_percentile(base + 2, count, 0.5),
+                  bucket_percentile(base + 2, count, 0.99));
     out << line;
   }
   if (const std::uint64_t dropped = trace_dropped_total()) {
@@ -482,7 +437,7 @@ void reset() {}
 
 const char* intern(std::string_view) { return ""; }
 
-void dump_metrics_json(std::ostream& out, bool) {
+void dump_metrics_json(std::ostream& out) {
   out << "{\n  \"schema\": \"ecnd-metrics-v1\",\n  \"compiled_out\": true\n}\n";
 }
 

@@ -14,12 +14,10 @@
 //     before returning). All merge operators are commutative — counters and
 //     histogram cells add, gauges take the max — so the merged totals are a
 //     function of the task grid, never of the schedule or ECND_THREADS.
-//   * Deterministic output: dump_metrics_json() sorts metrics by name and,
-//     by default, emits only Domain::kSim metrics (values that are pure
-//     functions of the simulated scenario). Wall-clock profiling histograms
-//     live in Domain::kWall and only appear with include_wall (or the
-//     ECND_METRICS_WALL env knob), keeping the default dump bit-identical
-//     across thread counts and machines.
+//   * Deterministic output: dump_metrics_json() sorts metrics by name, and
+//     every metric is a pure function of the simulated scenario (wall-clock
+//     time lives only in the profiler, obs/profile.hpp), so the dump is
+//     bit-identical across thread counts and machines.
 //
 // Compile-time kill switch: configuring with -DECND_OBS=OFF defines
 // ECND_OBS_DISABLED and every entry point below collapses to an inline no-op
@@ -39,12 +37,6 @@
 #include <vector>
 
 namespace ecnd::obs {
-
-/// Which world a metric's values come from. kSim metrics are deterministic
-/// given the scenario (packet counts, RK4 steps, guard trips); kWall metrics
-/// are host wall-clock measurements (profiling) and are excluded from the
-/// default JSON dump so it stays reproducible.
-enum class Domain : std::uint8_t { kSim, kWall };
 
 /// Log2 bucket index for histogram values: 0 holds the value 0, bucket b >= 1
 /// holds [2^(b-1), 2^b - 1], and the top bucket (63) is open-ended.
@@ -69,7 +61,6 @@ std::uint64_t* cells(std::uint32_t index);
 struct SnapshotRow {
   std::string name;
   std::uint8_t kind;  ///< 0 counter, 1 gauge, 2 histogram
-  Domain domain;
   std::uint32_t cell;
 };
 /// Copy of the registry's metric table, registration order.
@@ -132,7 +123,7 @@ class Gauge {
   }
 
  private:
-  friend Gauge gauge(std::string_view, Domain);
+  friend Gauge gauge(std::string_view);
   explicit Gauge(std::uint32_t cell) : cell_(cell) {}
   std::uint32_t cell_ = 0;
 };
@@ -152,7 +143,7 @@ class Histogram {
   }
 
  private:
-  friend Histogram histogram(std::string_view, Domain);
+  friend Histogram histogram(std::string_view);
   explicit Histogram(std::uint32_t cell) : cell_(cell) {}
   std::uint32_t cell_ = 0;
 };
@@ -161,8 +152,8 @@ class Histogram {
 /// once (file-scope const or function-local static) and reuse. Re-requesting
 /// a name returns the same metric; requesting it as a different kind throws.
 Counter counter(std::string_view name);
-Gauge gauge(std::string_view name, Domain domain = Domain::kSim);
-Histogram histogram(std::string_view name, Domain domain = Domain::kSim);
+Gauge gauge(std::string_view name);
+Histogram histogram(std::string_view name);
 
 /// Registry-side percentile over a histogram's exported log2 buckets
 /// (q in [0, 1]): Prometheus-style linear interpolation inside the bucket
@@ -173,12 +164,11 @@ Histogram histogram(std::string_view name, Domain domain = Domain::kSim);
 std::optional<double> histogram_percentile(std::string_view name, double q);
 
 /// Merge the calling thread's shard and write every metric as JSON, sorted
-/// by name. include_wall adds the Domain::kWall section (off by default: its
-/// values are wall-clock and break bit-identical comparisons).
-void dump_metrics_json(std::ostream& out, bool include_wall = false);
+/// by name.
+void dump_metrics_json(std::ostream& out);
 
 /// Human-readable end-of-run table (counters, gauges, histograms with
-/// count/mean/p50/max). Includes wall-clock profiling.
+/// count/mean/p50/p99).
 void print_summary(std::ostream& out);
 
 #else  // ECND_OBS_DISABLED: every entry point is an inline no-op.
@@ -202,13 +192,13 @@ class Histogram {
 };
 
 inline Counter counter(std::string_view) { return {}; }
-inline Gauge gauge(std::string_view, Domain = Domain::kSim) { return {}; }
-inline Histogram histogram(std::string_view, Domain = Domain::kSim) { return {}; }
+inline Gauge gauge(std::string_view) { return {}; }
+inline Histogram histogram(std::string_view) { return {}; }
 inline std::optional<double> histogram_percentile(std::string_view, double) {
   return std::nullopt;
 }
 
-void dump_metrics_json(std::ostream& out, bool include_wall = false);
+void dump_metrics_json(std::ostream& out);
 void print_summary(std::ostream& out);
 
 #endif  // ECND_OBS_DISABLED

@@ -3,7 +3,6 @@
 #if !defined(ECND_OBS_DISABLED)
 
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -212,13 +211,6 @@ void write_profile_folded(std::ostream& out, bool wall_values) {
   const Merged root = merged_root();
   std::string path;
   emit_folded(root, path, out, wall_values);
-}
-
-void write_profile_folded_file(const char* prefix, bool wall_values) {
-  const std::string path = std::string(prefix) + ".prof.folded";
-  std::ofstream out(path);
-  if (!out) return;
-  write_profile_folded(out, wall_values);
 }
 
 }  // namespace ecnd::obs

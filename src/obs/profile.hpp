@@ -1,19 +1,14 @@
 #pragma once
-// Hierarchical wall-clock profiler: RAII scopes feeding Domain::kWall
-// histograms AND a per-thread call tree exported as folded-stack text.
-//
-// Two layers, independently armed:
-//   * ScopedTimer (metrics_enabled): brackets a region and records its
-//     duration in nanoseconds into a histogram on destruction. Derived
-//     figures — ns per simulated event, ns per RK4 step — come from dividing
-//     a prof.* histogram's sum by the matching sim-domain counter (see
-//     scripts/bench_baseline.sh).
-//   * The frame stack (profile_enabled, armed by ECND_PROF=<prefix>): every
-//     ScopedTimer with a label, and every ProfScope, pushes a frame onto a
-//     TLS stack. Nested scopes form a call tree per thread — node = (parent,
-//     name), with hit count and total ns — merged across threads by name
-//     path at export and written as <prefix>.prof.folded, one
-//     "a;b;c value" line per stack, ready for flamegraph.pl / speedscope.
+// Hierarchical wall-clock profiler — the only place wall-clock time lives in
+// the observability layer. Every ProfScope pushes a frame onto a TLS stack
+// while the profiler is armed (ECND_PROF=<prefix>). Nested scopes form a call
+// tree per thread — node = (parent, name), with hit count and total ns —
+// merged across threads by name path at export and written as
+// <prefix>.prof.folded, one "a;b;c value" line per stack, ready for
+// flamegraph.pl / speedscope. The engines' top-level frames are sim.run
+// (Simulator::run_until / run_all), fluid.run (DdeSolver::run_until) and
+// par.sweep / par.task (the sweep engine); their ECND_PROF_WALL=1 totals
+// are the per-region wall times.
 //
 // Determinism: the folded value is the HIT COUNT by default — a pure
 // function of the scenario, so the file is byte-identical at any
@@ -23,20 +18,19 @@
 // worker picked it up) pass Anchor::kDetached and anchor at the root, so
 // the tree shape never depends on the schedule.
 //
-// When the relevant flag is off (or -DECND_OBS=OFF) construction takes one
+// When the profiler is off (or -DECND_OBS=OFF) construction takes one
 // branch and the clock is never read. Depth is capped at 64 frames; deeper
-// scopes are counted as dropped but still time their histogram.
+// scopes are counted as dropped.
 //
 // Export discipline matches the other obs modules: collect while sweeps run,
 // export after workers joined (process exit or an explicit write call).
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
-
-#include "obs/metrics.hpp"
 
 namespace ecnd::obs {
 
@@ -82,8 +76,8 @@ inline bool profile_enabled() {
 /// Programmatic override (tests). ECND_PROF arms this at startup.
 void set_profile_enabled(bool on);
 
-/// Frame-only scope for sub-regions that have no histogram of their own
-/// (heap ops, route resolution, RHS evaluation, history lookups).
+/// One profiled region: a named frame under the caller's (or, detached,
+/// under the root).
 class ProfScope {
  public:
   explicit ProfScope(const char* name, Anchor anchor = Anchor::kNested)
@@ -109,39 +103,6 @@ class ProfScope {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Histogram timer, optionally doubling as a named frame when `label` is
-/// given and the profiler is armed.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Histogram& hist, const char* label = nullptr)
-      : hist_(hist), armed_(metrics_enabled()), token_(detail::kInert) {
-    if (label != nullptr && profile_enabled()) {
-      token_ = detail::prof_enter(label, false);
-    }
-    if (armed_ || (token_ & detail::kInert) == 0) {
-      start_ = std::chrono::steady_clock::now();
-    }
-  }
-  ~ScopedTimer() {
-    const bool framed = (token_ & detail::kInert) == 0;
-    if (!armed_ && !framed) return;
-    const auto raw = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count();
-    const std::uint64_t ns = raw > 0 ? static_cast<std::uint64_t>(raw) : 0;
-    if (armed_) hist_.record(ns);
-    if (framed) detail::prof_exit(token_, ns);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  const Histogram& hist_;
-  bool armed_;
-  std::uint32_t token_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 /// Merged (all threads, by name path) call tree, pre-order, children in
 /// name order. Call after workers joined.
 std::vector<ProfileNode> profile_nodes();
@@ -151,11 +112,7 @@ std::vector<ProfileNode> profile_nodes();
 /// instead of the default hit count (deterministic).
 void write_profile_folded(std::ostream& out, bool wall_values = false);
 
-/// Write <prefix>.prof.folded (the ECND_PROF exit path; wall_values mirrors
-/// ECND_PROF_WALL).
-void write_profile_folded_file(const char* prefix, bool wall_values = false);
-
-#else  // ECND_OBS_DISABLED: frames vanish, timers keep their one-branch cost.
+#else  // ECND_OBS_DISABLED: frames vanish.
 
 inline bool profile_enabled() { return false; }
 inline void set_profile_enabled(bool) {}
@@ -165,14 +122,8 @@ class ProfScope {
   explicit ProfScope(const char*, Anchor = Anchor::kNested) {}
 };
 
-class ScopedTimer {
- public:
-  explicit ScopedTimer(const Histogram&, const char* = nullptr) {}
-};
-
 inline std::vector<ProfileNode> profile_nodes() { return {}; }
 void write_profile_folded(std::ostream& out, bool wall_values = false);
-inline void write_profile_folded_file(const char*, bool = false) {}
 
 #endif  // ECND_OBS_DISABLED
 

@@ -3,11 +3,7 @@
 #if !defined(ECND_OBS_DISABLED)
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <fstream>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -15,8 +11,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/json_writer.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/task_store.hpp"
 
 namespace ecnd::obs {
 
@@ -32,10 +29,6 @@ namespace {
 // and the interval, never of the schedule).
 const Counter kSnapSamples = counter("obs.snapshot_samples");
 const Counter kSnapDropped = counter("obs.snapshot_dropped");
-
-/// Hard cap on stored samples per task: keep-first (the divergence hunt that
-/// metrics_ts exists for starts from t = 0), overflow counted and reported.
-constexpr std::size_t kSampleCap = 65536;
 
 std::atomic<double> g_interval{kDefaultSnapshotInterval};
 
@@ -70,66 +63,32 @@ class IdTable {
   std::vector<std::pair<std::string, std::uint8_t>> names_;  // {name, kind}
 };
 
-/// One sweep task's time-series. `carry` holds counts the task accrued in a
-/// shard that has since been folded away (the thread moved to another task
-/// and back): sampled value = carry ⊕ live shard cell, where ⊕ is the
-/// metric's merge operator.
+/// One sweep task's time-series, capped at the store capacity (65536
+/// samples): keep-first, since the divergence hunt metrics_ts exists for
+/// starts from t = 0; overflow is counted and reported. `carry` holds counts
+/// the task accrued in a shard that has since been folded away (the thread
+/// moved to another task and back): sampled value = carry ⊕ live shard cell,
+/// where ⊕ is the metric's merge operator.
 struct TaskSnap {
+  explicit TaskSnap(std::size_t capacity) : cap(capacity) {}
+
   std::vector<double> times;
   std::vector<std::vector<std::uint64_t>> samples;  ///< samples[i][id]
   std::vector<std::uint64_t> carry;                 ///< by id
   double next_t = 0.0;   ///< next sampling threshold (sim seconds)
   double last_t = -1.0;  ///< restart detector: t going backwards = new run
-  std::uint64_t dropped = 0;
+  std::size_t cap;
+  std::uint64_t drops = 0;
+
+  std::uint64_t dropped() const { return drops; }
 };
 
-/// Buffers keyed by task index; same ownership discipline as the flight
-/// recorder — a buffer is only written by the thread currently running its
-/// task, and the sweep engine joins workers before any export. `generation`
-/// invalidates the per-thread cached pointer after clear().
-class SnapStore {
- public:
-  static SnapStore& instance() {
-    static SnapStore* s = new SnapStore;
-    return *s;
-  }
-
-  TaskSnap* buffer_for(std::uint32_t task) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = buffers_[task];
-    if (!slot) slot = std::make_unique<TaskSnap>();
-    return slot.get();
-  }
-
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.clear();
-    generation_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  std::uint64_t generation() const {
-    return generation_.load(std::memory_order_relaxed);
-  }
-
-  std::vector<std::pair<std::uint32_t, const TaskSnap*>> snapshot() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::uint32_t, const TaskSnap*>> out;
-    out.reserve(buffers_.size());
-    for (const auto& [task, buf] : buffers_) out.emplace_back(task, buf.get());
-    return out;
-  }
-
- private:
-  std::mutex mutex_;
-  std::map<std::uint32_t, std::unique_ptr<TaskSnap>> buffers_;
-  std::atomic<std::uint64_t> generation_{0};
-};
+using SnapStore = detail::TaskStore<TaskSnap>;
 
 /// The calling thread's view of the registry: which shard cell feeds which
 /// series id. Rebuilt when the registry grows (metric_count is the
-/// generation stamp; the table is append-only). Sim-domain counters and
-/// gauges only — histograms have their own dump section and wall-clock
-/// values would break cross-run byte-identity.
+/// generation stamp; the table is append-only). Counters and gauges only —
+/// histograms have their own dump section.
 struct Col {
   std::uint32_t cell;
   std::uint32_t id;
@@ -144,17 +103,12 @@ void refresh_layout() {
   if (count == t_layout_gen) return;
   t_layout.clear();
   for (const detail::SnapshotRow& row : detail::snapshot_rows()) {
-    if (row.domain != Domain::kSim) continue;
     if (row.kind > 1) continue;  // counters and gauges only
     const std::uint32_t id = IdTable::instance().id_for(row.name, row.kind);
     t_layout.push_back({row.cell, id, row.kind});
   }
   t_layout_gen = count;
 }
-
-thread_local std::uint32_t t_snap_task = 0;
-thread_local std::uint64_t t_snap_gen = 0;
-thread_local TaskSnap* t_snap = nullptr;
 
 /// Fold the calling thread's live shard cells into `b.carry` with the
 /// per-kind merge operator (counters add, gauges max). Called when the
@@ -172,50 +126,21 @@ void fold_shard_into(TaskSnap& b) {
   }
 }
 
-std::string render_double(double v) {
-  char buf[32];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  if (ec != std::errc()) return "null";
-  return std::string(buf, end);
-}
-
-void json_escape(std::ostream& out, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
-
 }  // namespace
 
 namespace detail {
 
 void snapshot_sample(double t_s) {
-  const std::uint32_t task = current_task();
-  const std::uint64_t gen = SnapStore::instance().generation();
-  if (t_snap == nullptr || t_snap_task != task || t_snap_gen != gen) {
+  TaskSnap& b = SnapStore::instance().current([](TaskSnap* prev) {
     refresh_layout();
-    if (t_snap != nullptr && t_snap_gen == gen && t_snap_task != task) {
-      // The thread moved to another task: attribute the shard's counts to
-      // the task that produced them before zeroing.
-      fold_shard_into(*t_snap);
-    }
+    // The thread moved to another task: attribute the shard's counts to the
+    // task that produced them before zeroing.
+    if (prev != nullptr) fold_shard_into(*prev);
     // Purge schedule-dependent shard leftovers (commutative merge into the
     // global accumulator: totals unchanged) so subsequent shard reads see
     // only this task's own work.
     merge_and_zero_calling_thread();
-    t_snap = SnapStore::instance().buffer_for(task);
-    t_snap_task = task;
-    t_snap_gen = gen;
-  }
-  TaskSnap& b = *t_snap;
+  });
   if (t_s < b.last_t) b.next_t = 0.0;  // sim clock restarted: new run, resample
   b.last_t = t_s;
   if (t_s < b.next_t) return;
@@ -223,8 +148,8 @@ void snapshot_sample(double t_s) {
   refresh_layout();
   const double interval = g_interval.load(std::memory_order_relaxed);
   b.next_t = (std::floor(t_s / interval) + 1.0) * interval;
-  if (b.samples.size() >= kSampleCap) {
-    ++b.dropped;
+  if (b.samples.size() >= b.cap) {
+    ++b.drops;
     kSnapDropped.add();
     return;
   }
@@ -241,11 +166,8 @@ void snapshot_sample(double t_s) {
   kSnapSamples.add();
 }
 
-void snapshot_reset() {
-  SnapStore::instance().clear();
-  // Thread-local caches revalidate against the bumped store generation on
-  // the next tick; layouts stay (the registry survives reset()).
-}
+// Thread-local layouts stay: the registry survives reset().
+void snapshot_reset() { SnapStore::instance().clear(); }
 
 }  // namespace detail
 
@@ -268,12 +190,10 @@ void write_metrics_ts_json(std::ostream& out) {
   const auto names = IdTable::instance().names();
   const auto tasks = SnapStore::instance().snapshot();
 
-  std::uint64_t dropped_total = 0;
-  for (const auto& [task, buf] : tasks) dropped_total += buf->dropped;
-
   out << "{\n  \"schema\": \"ecnd-metrics-ts-v1\",\n";
-  out << "  \"interval_s\": " << render_double(snapshot_interval()) << ",\n";
-  out << "  \"dropped_samples\": " << dropped_total << ",\n";
+  out << "  \"interval_s\": " << json::number(snapshot_interval()) << ",\n";
+  out << "  \"dropped_samples\": " << SnapStore::instance().dropped_total()
+      << ",\n";
   out << "  \"tasks\": [";
 
   bool first_task = true;
@@ -284,7 +204,7 @@ void write_metrics_ts_json(std::ostream& out) {
     out << "\n    {\n      \"task\": " << task << ",\n      \"t_s\": [";
     for (std::size_t i = 0; i < buf->times.size(); ++i) {
       if (i != 0) out << ", ";
-      out << render_double(buf->times[i]);
+      out << json::number(buf->times[i]);
     }
     out << "],\n      \"series\": [";
 
@@ -308,9 +228,8 @@ void write_metrics_ts_json(std::ostream& out) {
       if (!first_series) out << ",";
       first_series = false;
       const bool is_gauge = names[id].second == 1;
-      out << "\n        {\"name\": \"";
-      json_escape(out, names[id].first);
-      out << "\", \"kind\": \"" << (is_gauge ? "gauge" : "counter") << "\", ";
+      out << "\n        {\"name\": " << json::quote(names[id].first)
+          << ", \"kind\": \"" << (is_gauge ? "gauge" : "counter") << "\", ";
       if (is_gauge) {
         out << "\"values\": [";
         for (std::size_t i = 0; i < col.size(); ++i) {
@@ -335,13 +254,6 @@ void write_metrics_ts_json(std::ostream& out) {
     out << (first_series ? "]" : "\n      ]") << "\n    }";
   }
   out << (first_task ? "]" : "\n  ]") << "\n}\n";
-}
-
-void write_metrics_ts_file(const char* prefix) {
-  const std::string path = std::string(prefix) + ".metrics_ts.json";
-  std::ofstream out(path);
-  if (!out) return;
-  write_metrics_ts_json(out);
 }
 
 }  // namespace ecnd::obs

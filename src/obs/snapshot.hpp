@@ -72,9 +72,6 @@ inline void snapshot_tick(double t_s) {
 /// above). Merges nothing into the registry beyond what sampling already did.
 void write_metrics_ts_json(std::ostream& out);
 
-/// Write <prefix>.metrics_ts.json (the ECND_METRICS_TS exit path).
-void write_metrics_ts_file(const char* prefix);
-
 #else  // ECND_OBS_DISABLED
 
 inline bool snapshot_enabled() { return false; }
@@ -83,7 +80,6 @@ inline void set_snapshot_interval(double) {}
 inline double snapshot_interval() { return kDefaultSnapshotInterval; }
 inline void snapshot_tick(double) {}
 void write_metrics_ts_json(std::ostream& out);
-inline void write_metrics_ts_file(const char*) {}
 
 #endif  // ECND_OBS_DISABLED
 

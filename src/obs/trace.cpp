@@ -1,16 +1,15 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <ostream>
-#include <vector>
-
-namespace ecnd::obs {
 
 #if !defined(ECND_OBS_DISABLED)
+
+#include <vector>
+
+#include "core/json_writer.hpp"
+#include "obs/task_store.hpp"
+
+namespace ecnd::obs {
 
 namespace detail {
 std::atomic<bool> g_trace_on{false};
@@ -47,107 +46,19 @@ struct TraceBuffer {
   std::uint64_t count = 0;
 };
 
-/// Buffers keyed by task index; creation is rare (once per task) and locked,
-/// writes go through a per-thread cached pointer. A buffer is only ever
-/// written by the thread currently running its task — the sweep engine runs
-/// each task on exactly one thread and joins workers before any export.
-class Tracer {
- public:
-  static Tracer& instance() {
-    static Tracer* t = new Tracer;
-    return *t;
-  }
-
-  TraceBuffer* buffer_for(std::uint32_t task) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    auto& slot = buffers_[task];
-    if (!slot) slot = std::make_unique<TraceBuffer>(capacity_);
-    return slot.get();
-  }
-
-  void set_capacity(std::size_t cap) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = cap > 0 ? cap : 1;
-  }
-
-  void clear() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    buffers_.clear();
-  }
-
-  std::uint64_t dropped_total() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = 0;
-    for (const auto& [task, buf] : buffers_) total += buf->dropped();
-    return total;
-  }
-
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> dropped_by_task() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
-    for (const auto& [task, buf] : buffers_) {
-      if (const std::uint64_t dropped = buf->dropped()) {
-        out.emplace_back(task, dropped);
-      }
-    }
-    return out;
-  }
-
-  /// Snapshot pointers in task order (buffers are stable once created).
-  std::vector<std::pair<std::uint32_t, const TraceBuffer*>> snapshot() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<std::pair<std::uint32_t, const TraceBuffer*>> out;
-    out.reserve(buffers_.size());
-    for (const auto& [task, buf] : buffers_) out.emplace_back(task, buf.get());
-    return out;
-  }
-
- private:
-  Tracer() {
-    if (const char* env = std::getenv("ECND_TRACE_CAP")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0' && parsed >= 1) capacity_ = parsed;
-    }
-  }
-
-  std::mutex mutex_;
-  std::map<std::uint32_t, std::unique_ptr<TraceBuffer>> buffers_;
-  std::size_t capacity_ = 65536;
-};
+using TraceStore = detail::TaskStore<TraceBuffer>;
 
 thread_local std::uint32_t t_task = 0;
-thread_local TraceBuffer* t_buffer = nullptr;
-
-void json_escape(std::ostream& out, const char* s) {
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out << buf;
-    } else {
-      out << c;
-    }
-  }
-}
 
 void write_event(std::ostream& out, std::uint32_t task, const TraceEvent& e) {
-  char buf[96];
-  out << "{\"name\":\"";
-  json_escape(out, e.name);
-  out << "\",\"ph\":\"" << e.phase << "\",\"pid\":" << task << ",\"tid\":0";
-  std::snprintf(buf, sizeof(buf), ",\"ts\":%.6f", e.ts_us);
-  out << buf;
+  out << "{\"name\":" << json::quote(e.name) << ",\"ph\":\"" << e.phase
+      << "\",\"pid\":" << task << ",\"tid\":0,\"ts\":"
+      << json::trace_us(e.ts_us);
   if (e.phase == 'C') {
-    std::snprintf(buf, sizeof(buf), ",\"args\":{\"value\":%.9g}}", e.value);
-    out << buf;
+    out << ",\"args\":{\"value\":" << json::trace_value(e.value) << "}}";
   } else {
-    std::snprintf(buf, sizeof(buf), ",\"s\":\"p\",\"args\":{\"v\":%.9g,\"id\":%llu}}",
-                  e.value, static_cast<unsigned long long>(e.id));
-    out << buf;
+    out << ",\"s\":\"p\",\"args\":{\"v\":" << json::trace_value(e.value)
+        << ",\"id\":" << e.id << "}}";
   }
 }
 
@@ -157,14 +68,10 @@ namespace detail {
 
 void trace_push(const char* name, char phase, double ts_us, double value,
                 std::uint64_t id) {
-  if (!t_buffer) t_buffer = Tracer::instance().buffer_for(t_task);
-  t_buffer->push({ts_us, value, id, name, phase});
+  TraceStore::instance().current().push({ts_us, value, id, name, phase});
 }
 
-void trace_reset() {
-  Tracer::instance().clear();
-  t_buffer = nullptr;
-}
+void trace_reset() { TraceStore::instance().clear(); }
 
 std::uint32_t current_task() { return t_task; }
 
@@ -175,29 +82,29 @@ void set_trace_enabled(bool on) {
 }
 
 void set_trace_capacity(std::size_t events) {
-  Tracer::instance().set_capacity(events);
+  TraceStore::instance().set_capacity(events);
 }
 
-TaskScope::TaskScope(std::uint32_t task) : prev_(t_task) {
-  t_task = task;
-  t_buffer = nullptr;
-}
+TaskScope::TaskScope(std::uint32_t task) : prev_(t_task) { t_task = task; }
 
-TaskScope::~TaskScope() {
-  t_task = prev_;
-  t_buffer = nullptr;
-}
+TaskScope::~TaskScope() { t_task = prev_; }
 
 std::uint64_t trace_dropped_total() {
-  return Tracer::instance().dropped_total();
+  return TraceStore::instance().dropped_total();
 }
 
 std::vector<std::pair<std::uint32_t, std::uint64_t>> trace_dropped_by_task() {
-  return Tracer::instance().dropped_by_task();
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> out;
+  for (const auto& [task, buf] : TraceStore::instance().snapshot()) {
+    if (const std::uint64_t dropped = buf->dropped()) {
+      out.emplace_back(task, dropped);
+    }
+  }
+  return out;
 }
 
 void write_trace_json(std::ostream& out) {
-  const auto buffers = Tracer::instance().snapshot();
+  const auto buffers = TraceStore::instance().snapshot();
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   const char* sep = "\n";
   for (const auto& [task, buf] : buffers) {
@@ -231,12 +138,16 @@ void write_trace_json(std::ostream& out) {
   out << "\n]}\n";
 }
 
+}  // namespace ecnd::obs
+
 #else  // ECND_OBS_DISABLED
+
+namespace ecnd::obs {
 
 void write_trace_json(std::ostream& out) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n";
 }
 
-#endif  // ECND_OBS_DISABLED
-
 }  // namespace ecnd::obs
+
+#endif  // ECND_OBS_DISABLED

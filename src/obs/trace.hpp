@@ -5,7 +5,7 @@
 // Timestamps are SIMULATION time in microseconds — the packet simulator's
 // integer picoseconds and the fluid solver's continuous seconds both convert
 // to the same axis — so a trace shows what the *scenario* did, not what the
-// host CPU did (wall-clock lives in the profiling histograms, never here).
+// host CPU did (wall-clock lives in the profiler, never here).
 //
 // Each sweep task writes into its own fixed-capacity ring buffer, installed
 // by obs::TaskScope (the parallel engine wraps every task; task 0 is the
@@ -54,10 +54,10 @@ void set_trace_enabled(bool on);
 /// call; reset() drops existing buffers so tests can shrink the ring.
 void set_trace_capacity(std::size_t events);
 
-/// Route subsequent events on this thread to task `task`'s ring buffer
-/// (RAII; restores the previous task on destruction). The parallel sweep
-/// engine installs TaskScope(grid_index + 1) around every task; 0 is the
-/// main-thread default.
+/// Route this thread's subsequent per-task records (trace events, flight
+/// records, metric snapshots) to task `task` (RAII; restores the previous
+/// task on destruction). The parallel sweep engine installs
+/// TaskScope(grid_index + 1) around every task; 0 is the main-thread default.
 class TaskScope {
  public:
   explicit TaskScope(std::uint32_t task);

@@ -14,15 +14,14 @@ namespace {
 
 // Registered at startup so the metric set in a dump never depends on which
 // code paths ran. sim.events counts run_one dispatches across every
-// Simulator instance; prof.sim.run_ns brackets run_until/run_all, so
-// ns-per-event is prof.sim.run_ns.sum / sim.events. sim.event_pool_reuse
-// counts slots handed out from the free list rather than fresh arena growth;
-// in steady state it tracks sim.events almost 1:1.
+// Simulator instance; the profiler's sim.run frame brackets
+// run_until/run_all, so ns-per-event is that frame's wall total over
+// sim.events. sim.event_pool_reuse counts slots handed out from the free list
+// rather than fresh arena growth; in steady state it tracks sim.events almost
+// 1:1.
 const obs::Counter kEvents = obs::counter("sim.events");
 const obs::Counter kLateSchedules = obs::counter("sim.late_schedules");
 const obs::Counter kPoolReuse = obs::counter("sim.event_pool_reuse");
-const obs::Histogram kRunNs =
-    obs::histogram("prof.sim.run_ns", obs::Domain::kWall);
 
 }  // namespace
 
@@ -133,7 +132,7 @@ bool Simulator::run_one() {
 }
 
 void Simulator::run_until(PicoTime t_end) {
-  obs::ScopedTimer timer(kRunNs, "sim.run");
+  obs::ProfScope prof_scope("sim.run");
   arm_wall_clock();
   while (!queue_.empty() && queue_.top().t <= t_end) run_one();
   if (now_ < t_end) now_ = t_end;
@@ -143,7 +142,7 @@ void Simulator::run_until(PicoTime t_end) {
 }
 
 void Simulator::run_all() {
-  obs::ScopedTimer timer(kRunNs, "sim.run");
+  obs::ProfScope prof_scope("sim.run");
   arm_wall_clock();
   while (run_one()) {
   }

@@ -1,13 +1,13 @@
 // Observability layer (src/obs): registry semantics, shard-merge determinism
 // across thread counts, histogram bucket geometry, tracer ring-buffer
-// overflow policy, and the Chrome trace-event JSON export. Everything here
-// drives the layer programmatically (set_metrics_enabled / set_trace_enabled)
-// so the suite behaves the same with or without the ECND_* env knobs.
+// overflow policy, and the Chrome trace-event JSON export (validated with
+// report::Json, the repo's one parser). Everything here drives the layer
+// programmatically (set_metrics_enabled / set_trace_enabled) so the suite
+// behaves the same with or without the ECND_* env knobs.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <sstream>
 #include <string>
 
@@ -16,112 +16,13 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "proto/factories.hpp"
+#include "report/json.hpp"
 #include "sim/network.hpp"
 
 namespace ecnd {
 namespace {
 
 #if !defined(ECND_OBS_DISABLED)
-
-/// Minimal JSON syntax checker — enough to assert our exports parse. Accepts
-/// objects, arrays, strings (with \-escapes), numbers, true/false/null.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& text) : s_(text) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == '}') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') { ++pos_; return true; }
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') { ++pos_; continue; }
-      if (peek() == ']') { ++pos_; return true; }
-      return false;
-    }
-  }
-
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool number() {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           std::strchr("+-0123456789.eE", s_[pos_]) != nullptr) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  bool literal(const char* word) {
-    const std::size_t len = std::strlen(word);
-    if (s_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\t' || s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 /// Arm metrics + tracing for one test, restore/clear on the way out.
 class ObsFixture : public ::testing::Test {
@@ -220,7 +121,7 @@ TEST_F(ObsFixture, HistogramCountsSumsAndBuckets) {
                       "\"p50\": 2, \"p99\": 7.92}"),
             std::string::npos)
       << json;
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NO_THROW(report::Json::parse(json)) << json;
   EXPECT_DOUBLE_EQ(obs::histogram_percentile("test.obs.hist", 0.99).value(),
                    7.92);
   EXPECT_EQ(obs::histogram_percentile("test.obs.hist", 0.0).value(), 0.0);
@@ -251,7 +152,7 @@ TEST_F(ObsFixture, ManifestReportsPerTaskTraceDrops) {
     obs::trace_instant("test.keep", 0.0);  // fits: no drops for task 1
   }
   const std::string json = obs::RunManifest("test_tool").to_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NO_THROW(report::Json::parse(json)) << json;
   // 7 events into a 2-slot ring = 5 drops, attributed to task 3 only.
   EXPECT_NE(json.find("\"dropped_total\": 5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"3\": 5"), std::string::npos) << json;
@@ -263,7 +164,7 @@ TEST_F(ObsFixture, UntracedManifestHasNoTraceSection) {
   obs::set_trace_enabled(false);
   const std::string json = obs::RunManifest("test_tool").to_json();
   EXPECT_EQ(json.find("\"trace\""), std::string::npos) << json;
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NO_THROW(report::Json::parse(json)) << json;
 }
 
 TEST_F(ObsFixture, ReRegisteringUnderDifferentKindThrows) {
@@ -302,7 +203,7 @@ TEST_F(ObsFixture, RingOverflowDropsOldestAndCountsTheLoss) {
   const auto pos8 = json.find("\"ts\":8.000000");
   EXPECT_LT(pos7, pos8);
   EXPECT_NE(json.find("\"trace.dropped\""), std::string::npos) << json;
-  EXPECT_TRUE(JsonChecker(json).valid()) << json;
+  EXPECT_NO_THROW(report::Json::parse(json)) << json;
 }
 
 TEST_F(ObsFixture, TaskScopeRoutesEventsToPerTaskTracks) {
@@ -346,13 +247,13 @@ TEST_F(ObsFixture, TracedSimRunProducesValidChromeTraceJson) {
   net.sim().run_until(seconds(0.005));
 
   const std::string json = trace_json();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
+  EXPECT_NO_THROW(report::Json::parse(json)) << json.substr(0, 400);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);  // queue track
 
   const std::string metrics = metrics_json();
-  EXPECT_TRUE(JsonChecker(metrics).valid());
+  EXPECT_NO_THROW(report::Json::parse(metrics));
   EXPECT_NE(metrics.find("\"sim.events\""), std::string::npos);
 
   // Repeatability: the same scenario traces to the same bytes.

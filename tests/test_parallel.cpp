@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -238,8 +239,12 @@ TEST(ThreadCount, SerialOverride) {
 }
 
 TEST(ThreadCount, GarbageEnvFallsBackToHardware) {
-  const ScopedEnv env("ECND_THREADS", "not-a-number");
-  EXPECT_GE(par::thread_count(), 1u);
+  // "-1" must not wrap to 2^64-1 threads (one per grid cell).
+  const unsigned hw = std::thread::hardware_concurrency();
+  for (const char* garbage : {"not-a-number", "-1"}) {
+    const ScopedEnv env("ECND_THREADS", garbage);
+    EXPECT_EQ(par::thread_count(), hw >= 1 ? hw : 1u) << garbage;
+  }
 }
 
 TEST(ThreadCount, ZeroEnvFallsBackToHardware) {

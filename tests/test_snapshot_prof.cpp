@@ -174,23 +174,6 @@ TEST_F(SnapProfFixture, ScopesUnwindCorrectlyThroughExceptions) {
   EXPECT_TRUE(saw_inner);
 }
 
-TEST_F(SnapProfFixture, LabeledScopedTimerFeedsHistogramAndTree) {
-  const obs::Histogram h = obs::histogram("test.prof.timer_ns");
-  obs::set_profile_enabled(true);
-  { obs::ScopedTimer t(h, "test.prof.timed_region"); }
-  bool saw = false;
-  for (const obs::ProfileNode& n : obs::profile_nodes()) {
-    if (n.name == "test.prof.timed_region") {
-      saw = true;
-      EXPECT_EQ(n.hits, 1u);
-    }
-  }
-  EXPECT_TRUE(saw);
-  std::ostringstream metrics;
-  obs::dump_metrics_json(metrics);
-  EXPECT_NE(metrics.str().find("test.prof.timer_ns"), std::string::npos);
-}
-
 TEST_F(SnapProfFixture, ProfilerIdleWhenDisarmed) {
   { obs::ProfScope never("test.prof.never_armed"); }
   EXPECT_EQ(folded().find("test.prof.never_armed"), std::string::npos);
