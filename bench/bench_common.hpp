@@ -55,13 +55,22 @@ inline void report_timing(const std::string& label, const par::SweepTiming& t) {
 
 /// Sweep journal wiring shared by the figure harnesses: the journal file
 /// comes from ECND_JOURNAL=<path>, and `--resume` on the command line loads
-/// completed cells from it instead of truncating. Without ECND_JOURNAL the
+/// completed cells from it instead of truncating. Any other argument prints
+/// usage and exits 2 before the journal is opened, so a mistyped `--resume`
+/// cannot truncate the journal it meant to resume. Without ECND_JOURNAL the
 /// context is inert and the harness behaves exactly as before.
 class SweepContext {
  public:
   SweepContext(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
-      if (std::string_view(argv[i]) == "--resume") resume_ = true;
+      if (std::string_view(argv[i]) != "--resume") {
+        std::fprintf(stderr,
+                     "unknown argument '%s'\n"
+                     "usage: %s [--resume]  (journal path from ECND_JOURNAL)\n",
+                     argv[i], argv[0]);
+        std::exit(2);
+      }
+      resume_ = true;
     }
     const char* path = std::getenv("ECND_JOURNAL");
     if (path != nullptr) {

@@ -14,13 +14,14 @@
 // so the CSV is also byte-identical at any ECND_THREADS.
 //
 // Usage: fault_study [flows] [duration_s] [seed]
+// Bad arguments print usage and exit 2.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "core/parallel.hpp"
 #include "core/stats.hpp"
 #include "exp/scenarios.hpp"
@@ -89,10 +90,13 @@ Row run_one(exp::Protocol protocol, double loss, int flows, double duration_s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int flows = argc > 1 ? std::atoi(argv[1]) : 10;
-  const double duration_s = argc > 2 ? std::atof(argv[2]) : 0.1;
-  const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1;
-  if (flows <= 0 || duration_s <= 0.0) {
+  int flows = 10;
+  double duration_s = 0.1;
+  std::uint64_t seed = 1;
+  if (argc > 4 || (argc > 1 && !cli::parse_int(argv[1], flows)) ||
+      (argc > 2 && !cli::parse_double(argv[2], duration_s)) ||
+      (argc > 3 && !cli::parse_seed(argv[3], seed)) || flows <= 0 ||
+      duration_s <= 0.0) {
     std::fprintf(stderr,
                  "usage: fault_study [flows > 0] [duration_s > 0] [seed]\n"
                  "(a run with no flows has no fairness to report)\n");

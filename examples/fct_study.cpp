@@ -3,31 +3,49 @@
 // CDF tail, and the bottleneck queue shape.
 //
 // Usage: fct_study [dcqcn|timely|patched] [load] [num_flows] [seed]
+// Bad arguments (including an unknown protocol) print usage and exit 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "cli_args.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
 #include "exp/scenarios.hpp"
 
 using namespace ecnd;
 
+namespace {
+
+int usage() {
+  std::fprintf(stderr,
+               "usage: fct_study [dcqcn|timely|patched] [load > 0] "
+               "[flows > 0] [seed]\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   exp::Protocol protocol = exp::Protocol::kDcqcn;
   if (argc > 1) {
-    if (std::strcmp(argv[1], "timely") == 0) protocol = exp::Protocol::kTimely;
-    if (std::strcmp(argv[1], "patched") == 0) protocol = exp::Protocol::kPatchedTimely;
+    if (std::strcmp(argv[1], "timely") == 0) {
+      protocol = exp::Protocol::kTimely;
+    } else if (std::strcmp(argv[1], "patched") == 0) {
+      protocol = exp::Protocol::kPatchedTimely;
+    } else if (std::strcmp(argv[1], "dcqcn") != 0) {
+      std::fprintf(stderr, "unknown protocol '%s'\n", argv[1]);
+      return usage();
+    }
   }
-  const double load = argc > 2 ? std::atof(argv[2]) : 0.6;
-  const int flows = argc > 3 ? std::atoi(argv[3]) : 1500;
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
-  if (load <= 0.0 || flows <= 0) {
-    std::fprintf(stderr,
-                 "usage: fct_study [dcqcn|timely|patched] [load > 0] "
-                 "[flows > 0] [seed]\n");
-    return 2;
+  double load = 0.6;
+  int flows = 1500;
+  std::uint64_t seed = 1;
+  if (argc > 5 || (argc > 2 && !cli::parse_double(argv[2], load)) ||
+      (argc > 3 && !cli::parse_int(argv[3], flows)) ||
+      (argc > 4 && !cli::parse_seed(argv[4], seed)) || load <= 0.0 ||
+      flows <= 0) {
+    return usage();
   }
 
   auto config = exp::make_fct_config(protocol, load);

@@ -11,14 +11,11 @@
 // Output: CSV on stdout with columns t, queue_kb, rate0_gbps, rate1_gbps...
 // Bad arguments (or parameters a model rejects) print usage and exit 2.
 
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
+#include "cli_args.hpp"
 #include "core/diagnostic.hpp"
 #include "fluid/dcqcn_model.hpp"
 #include "fluid/fluid_model.hpp"
@@ -38,27 +35,6 @@ int usage() {
   return 2;
 }
 
-/// Whole-string integer parse; false on junk, overflow or empty input.
-bool parse_int(const char* s, int& out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || errno == ERANGE || v < INT_MIN || v > INT_MAX) {
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
-}
-
-/// Whole-string finite floating-point parse.
-bool parse_double(const char* s, double& out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !std::isfinite(v)) return false;
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -66,10 +42,10 @@ int main(int argc, char** argv) {
   int n = 2;
   double knob = 4.0;
   double duration = 0.1;
-  if (argc > 5 || (argc > 2 && !parse_int(argv[2], n)) ||
-      (argc > 3 && !parse_double(argv[3], knob)) ||
-      (argc > 4 && !parse_double(argv[4], duration)) || n < 1 || knob < 0.0 ||
-      duration <= 0.0) {
+  if (argc > 5 || (argc > 2 && !cli::parse_int(argv[2], n)) ||
+      (argc > 3 && !cli::parse_double(argv[3], knob)) ||
+      (argc > 4 && !cli::parse_double(argv[4], duration)) || n < 1 ||
+      knob < 0.0 || duration <= 0.0) {
     return usage();
   }
 

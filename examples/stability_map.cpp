@@ -6,12 +6,13 @@
 // cell is an independent linearization, and the map prints from pre-sized
 // slots so output is byte-identical at any thread count.
 //
-// Usage: stability_map [n_max] [delay_max_us]
+// Usage: stability_map [n_max >= 2] [delay_max_us >= 5]
+// The bounds keep both grids non-empty; bad arguments print usage and exit 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "control/dcqcn_analysis.hpp"
 #include "control/timely_analysis.hpp"
 #include "core/parallel.hpp"
@@ -29,8 +30,15 @@ struct TimelyRow {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int n_max = argc > 1 ? std::atoi(argv[1]) : 64;
-  const double delay_max_us = argc > 2 ? std::atof(argv[2]) : 100.0;
+  int n_max = 64;
+  double delay_max_us = 100.0;
+  if (argc > 3 || (argc > 1 && !cli::parse_int(argv[1], n_max)) ||
+      (argc > 2 && !cli::parse_double(argv[2], delay_max_us)) || n_max < 2 ||
+      delay_max_us < 5.0) {
+    std::fprintf(stderr,
+                 "usage: stability_map [n_max >= 2] [delay_max_us >= 5]\n");
+    return 2;
+  }
 
   std::printf("DCQCN phase-margin map (rows: delay, cols: N). "
               "Symbols: '#'>45deg  '+'>15deg  '.'>0deg  '!'<=0deg\n\n      ");

@@ -8,6 +8,10 @@ namespace ecnd {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x444E4345u;  // "ECND" little-endian
+// The header's kind field. The DDE solver is the only snapshot producer; the
+// field is still written and checked so existing snapshots keep their bytes
+// and a stream from any other producer is refused.
+constexpr std::uint16_t kKindDdeSolver = 1;
 constexpr std::size_t kHeaderBytes = 4 + 2 + 2 + 8 + 8;
 
 // Sanity cap on the declared payload size (1 GiB): a corrupted or truncated
@@ -39,12 +43,7 @@ std::uint64_t fnv1a64(std::string_view bytes) {
   return h;
 }
 
-void SnapshotWriter::u16(std::uint16_t v) { append_le(payload_, v, 2); }
-void SnapshotWriter::u32(std::uint32_t v) { append_le(payload_, v, 4); }
 void SnapshotWriter::u64(std::uint64_t v) { append_le(payload_, v, 8); }
-void SnapshotWriter::i64(std::int64_t v) {
-  append_le(payload_, static_cast<std::uint64_t>(v), 8);
-}
 void SnapshotWriter::f64(double v) {
   append_le(payload_, std::bit_cast<std::uint64_t>(v), 8);
 }
@@ -58,7 +57,7 @@ void SnapshotWriter::finish(std::ostream& out) {
   header.reserve(kHeaderBytes);
   append_le(header, kMagic, 4);
   append_le(header, kSnapshotVersion, 2);
-  append_le(header, static_cast<std::uint16_t>(kind_), 2);
+  append_le(header, kKindDdeSolver, 2);
   append_le(header, payload_.size(), 8);
   append_le(header, fnv1a64(payload_), 8);
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
@@ -67,7 +66,7 @@ void SnapshotWriter::finish(std::ostream& out) {
   payload_.clear();
 }
 
-SnapshotReader::SnapshotReader(std::istream& in, SnapshotKind kind) {
+SnapshotReader::SnapshotReader(std::istream& in) {
   unsigned char header[kHeaderBytes];
   in.read(reinterpret_cast<char*>(header), kHeaderBytes);
   if (in.gcount() != static_cast<std::streamsize>(kHeaderBytes)) {
@@ -84,11 +83,11 @@ SnapshotReader::SnapshotReader(std::istream& in, SnapshotKind kind) {
                         std::to_string(kSnapshotVersion) +
                         "; re-run instead of restoring)");
   }
-  const std::uint64_t got_kind = field(6, 2);
-  if (got_kind != static_cast<std::uint64_t>(kind)) {
-    throw SnapshotError("kind " + std::to_string(got_kind) +
-                        " does not match the restoring engine (expected " +
-                        std::to_string(static_cast<std::uint64_t>(kind)) + ")");
+  const std::uint64_t kind = field(6, 2);
+  if (kind != kKindDdeSolver) {
+    throw SnapshotError("kind " + std::to_string(kind) +
+                        " is not a fluid-solver snapshot (expected " +
+                        std::to_string(kKindDdeSolver) + ")");
   }
   const std::uint64_t size = field(8, 8);
   const std::uint64_t digest = field(16, 8);
@@ -117,16 +116,7 @@ std::span<const unsigned char> SnapshotReader::take(std::size_t n) {
   return out;
 }
 
-std::uint16_t SnapshotReader::u16() {
-  return static_cast<std::uint16_t>(read_le(take(2)));
-}
-std::uint32_t SnapshotReader::u32() {
-  return static_cast<std::uint32_t>(read_le(take(4)));
-}
 std::uint64_t SnapshotReader::u64() { return read_le(take(8)); }
-std::int64_t SnapshotReader::i64() {
-  return static_cast<std::int64_t>(read_le(take(8)));
-}
 double SnapshotReader::f64() { return std::bit_cast<double>(read_le(take(8))); }
 
 std::vector<double> SnapshotReader::f64_vec() {

@@ -1,27 +1,27 @@
 #pragma once
-// Versioned binary snapshots for checkpoint/restore.
+// Versioned binary snapshots for the fluid DDE solver's checkpoint/restore.
 //
-// Both engines (the packet simulator and the fluid DDE solver) can freeze
-// their complete integration state into a byte stream and later resume from
-// it bit-identically — the same rows, event pop sequence and metric counts an
-// uninterrupted run would have produced. That turns a killed 10k-point sweep
-// into a resumable one and enables the "fork a warmed-up fabric at t"
-// pattern: checkpoint one long warm-up, restore it into many divergent
-// scenario continuations.
+// DdeSolver::save freezes the solver's complete integration state (clock,
+// step counters, state vector and the delay history) into a byte stream, and
+// DdeSolver::restore resumes from it bit-identically: the same observer rows
+// and metric counts an uninterrupted run would have produced. The packet
+// simulator has no checkpoint; its events are closures over live network
+// objects, which no byte stream can carry.
 //
 // Wire format (little-endian, fixed-width):
 //
-//   header   magic u32 ("ECND"), format_version u16, kind u16,
-//            payload_size u64, payload_digest u64 (FNV-1a over the payload)
-//   payload  kind-specific field stream (see DdeSolver::save, Simulator::save)
+//   header   magic u32 ("ECND"), format_version u16, kind u16 (always 1,
+//            the DDE solver), payload_size u64, payload_digest u64 (FNV-1a
+//            over the payload)
+//   payload  solver field stream (see DdeSolver::save)
 //
 // The header digest makes truncation and bit-rot a loud SnapshotError instead
 // of a silently-wrong continuation; the (version, kind) pair rejects
-// snapshots from a different writer generation or the wrong engine. The
-// format version bumps whenever any engine's payload layout changes — old
-// snapshots are rejected, never reinterpreted: a checkpoint is a cache of
-// recomputable state, so "refuse and re-run" is always safe while "guess and
-// continue" never is.
+// snapshots from a different writer generation or an unknown producer. The
+// format version bumps whenever the payload layout changes — old snapshots
+// are rejected, never reinterpreted: a checkpoint is a cache of recomputable
+// state, so "refuse and re-run" is always safe while "guess and continue"
+// never is.
 //
 // Doubles are serialized as their IEEE-754 bit patterns (std::bit_cast to
 // u64), so a restored state is the *identical* double, not a round-tripped
@@ -45,26 +45,15 @@ class SnapshotError : public std::runtime_error {
       : std::runtime_error("snapshot: " + what) {}
 };
 
-/// Snapshot format generation. Bump when any payload layout changes.
+/// Snapshot format generation. Bump when the payload layout changes.
 /// v2: History payload gained the deep-retention side store.
 inline constexpr std::uint16_t kSnapshotVersion = 2;
-
-/// Engine kinds (the header rejects cross-engine restores).
-enum class SnapshotKind : std::uint16_t {
-  kDdeSolver = 1,
-  kSimulator = 2,
-};
 
 /// Accumulates a payload in memory, then emits header + payload in one go so
 /// the digest and size are always consistent with the bytes that follow.
 class SnapshotWriter {
  public:
-  explicit SnapshotWriter(SnapshotKind kind) : kind_(kind) {}
-
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
   void u64(std::uint64_t v);
-  void i64(std::int64_t v);
   void f64(double v);
   void f64_span(std::span<const double> v);  ///< count-prefixed
 
@@ -72,7 +61,6 @@ class SnapshotWriter {
   void finish(std::ostream& out);
 
  private:
-  SnapshotKind kind_;
   std::string payload_;
 };
 
@@ -81,14 +69,11 @@ class SnapshotWriter {
 /// last field to reject trailing garbage (a likely layout mismatch).
 class SnapshotReader {
  public:
-  /// Reads the full snapshot from `in`, validating magic, version, `kind`
-  /// and the payload digest up front.
-  SnapshotReader(std::istream& in, SnapshotKind kind);
+  /// Reads the full snapshot from `in`, validating magic, version, kind and
+  /// the payload digest up front.
+  explicit SnapshotReader(std::istream& in);
 
-  std::uint16_t u16();
-  std::uint32_t u32();
   std::uint64_t u64();
-  std::int64_t i64();
   double f64();
   std::vector<double> f64_vec();
 

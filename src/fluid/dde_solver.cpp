@@ -605,7 +605,7 @@ void DdeSolver::run_until(
 }
 
 void DdeSolver::save(std::ostream& out) const {
-  SnapshotWriter w(SnapshotKind::kDdeSolver);
+  SnapshotWriter w;
   w.u64(x_.size());
   w.f64(t_);
   w.f64(t0_);
@@ -619,7 +619,7 @@ void DdeSolver::save(std::ostream& out) const {
 }
 
 void DdeSolver::restore(std::istream& in) {
-  SnapshotReader r(in, SnapshotKind::kDdeSolver);
+  SnapshotReader r(in);
   const std::uint64_t dim = r.u64();
   if (dim != system_.dim()) {
     throw SnapshotError("state dimension " + std::to_string(dim) +

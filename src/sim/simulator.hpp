@@ -6,26 +6,27 @@
 // exact; ties break in schedule order (FIFO), which keeps runs deterministic
 // regardless of priority-queue internals.
 //
-// Events live in a pooled arena: each scheduled action is placement-new'd
-// into a recycled fixed-size slot (64 inline bytes — enough for every capture
-// list in the tree, e.g. [this, pkt] at 56 bytes), so the steady-state event
+// An event is a callable handed to schedule_at()/schedule_in(), the only way
+// to schedule one. Events live in a pooled arena: each action is
+// placement-new'd into a recycled fixed-size slot, so the steady-state event
 // loop performs no allocator traffic at all. The priority queue itself holds
-// only POD {time, seq, slot} entries, which also removes the old
-// const_cast-move-from-top() hack. Oversized or over-aligned callables fall
-// back to one heap allocation per event; nothing in-tree hits that path.
+// only POD {time, seq, slot} entries.
+//
+// Compile-time rule: an action must fit the slot's 64 inline bytes at no more
+// than max_align_t alignment; a larger capture fails a static_assert instead
+// of allocating. The largest capture in the tree, Port's [this, pkt] arrival,
+// is exactly 64 bytes (sizeof(Packet) = 56). Capture a pointer or an index
+// rather than grow a closure past the budget.
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <iosfwd>
 #include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/snapshot.hpp"
 #include "core/units.hpp"
 #include "obs/profile.hpp"
 
@@ -33,8 +34,6 @@ namespace ecnd::sim {
 
 class Simulator {
  public:
-  using Action = std::function<void()>;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -103,50 +102,6 @@ class Simulator {
   /// Run until the event queue drains completely.
   void run_all();
 
-  // -- Checkpointable (tagged) events ---------------------------------------
-  //
-  // Closures cannot be serialized, so arbitrary schedule_at() events make a
-  // simulator non-checkpointable. Tagged events are the serializable subset:
-  // a POD {tag, a, b} payload dispatched through a handler registered under
-  // `tag`. Handlers themselves are code, not state — after restore(), the
-  // application re-registers the same handlers and the pending payloads
-  // resume through them with their original (time, seq) ordering intact.
-
-  /// Handler invoked with the event's two payload words.
-  using TaggedHandler = std::function<void(std::uint64_t, std::uint64_t)>;
-
-  /// Install (or replace) the handler for `tag`. Dispatching a tag with no
-  /// handler throws InvariantViolation naming the tag and sim time.
-  void register_handler(std::uint16_t tag, TaggedHandler handler);
-
-  /// Schedule a tagged event at absolute time `t` (past times clamp to now,
-  /// like schedule_at).
-  void schedule_tagged_at(PicoTime t, std::uint16_t tag, std::uint64_t a = 0,
-                          std::uint64_t b = 0);
-  /// Schedule a tagged event `delay` picoseconds from now.
-  void schedule_tagged_in(PicoTime delay, std::uint16_t tag,
-                          std::uint64_t a = 0, std::uint64_t b = 0) {
-    schedule_tagged_at(now_ + delay, tag, a, b);
-  }
-
-  /// True when every pending event is tagged (i.e. save() would succeed).
-  bool checkpointable() const;
-
-  /// Freeze clock, sequence counter, processed/late counters, event-pool
-  /// shape and all pending tagged events into a versioned snapshot. Throws
-  /// SnapshotError if any pending event is a closure (see checkpointable()).
-  void save(std::ostream& out) const;
-
-  /// Restore into a *fresh* simulator (nothing scheduled or processed yet;
-  /// throws SnapshotError otherwise). Pending events keep their original
-  /// (time, seq) keys, so the pop sequence — and therefore the run — is
-  /// bit-identical to the uninterrupted original. The event-pool arena and
-  /// free list are rebuilt at their checkpointed sizes so even the
-  /// sim.event_pool_reuse metric continues identically. Handlers and
-  /// watchdog limits are not part of the snapshot: re-register / re-arm them
-  /// around this call.
-  void restore(std::istream& in);
-
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
   static constexpr std::size_t kInlineActionBytes = 64;
@@ -168,9 +123,8 @@ class Simulator {
     alignas(std::max_align_t) unsigned char inline_buf[kInlineActionBytes];
   };
 
-  // The action is stored inline when it fits; otherwise the inline buffer
-  // holds a single owning pointer to a heap copy. Both variants share the
-  // two-entry vtable above.
+  // Every action is stored inline in its slot; the two-entry vtable above
+  // is instantiated once per action type.
   template <typename Fn>
   struct InlineOps {
     static Fn* get(EventSlot& s) {
@@ -187,35 +141,16 @@ class Simulator {
     static void destroy(EventSlot& s) { get(s)->~Fn(); }
     static constexpr SlotOps kOps{&run_and_destroy, &destroy};
   };
-  template <typename Fn>
-  struct HeapOps {
-    static Fn* get(EventSlot& s) {
-      return *std::launder(reinterpret_cast<Fn**>(s.inline_buf));
-    }
-    static void run_and_destroy(EventSlot& s) {
-      Fn* fn = get(s);
-      struct Reaper {
-        Fn* fn;
-        ~Reaper() { delete fn; }
-      } reaper{fn};
-      (*fn)();
-    }
-    static void destroy(EventSlot& s) { delete get(s); }
-    static constexpr SlotOps kOps{&run_and_destroy, &destroy};
-  };
 
   template <typename F>
   static void emplace_action(EventSlot& slot, F&& action) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineActionBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(slot.inline_buf)) Fn(std::forward<F>(action));
-      slot.ops = &InlineOps<Fn>::kOps;
-    } else {
-      ::new (static_cast<void*>(slot.inline_buf))
-          Fn*(new Fn(std::forward<F>(action)));
-      slot.ops = &HeapOps<Fn>::kOps;
-    }
+    static_assert(sizeof(Fn) <= kInlineActionBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t),
+                  "event action exceeds the 64-byte inline slot budget; "
+                  "capture a pointer or an index instead");
+    ::new (static_cast<void*>(slot.inline_buf)) Fn(std::forward<F>(action));
+    slot.ops = &InlineOps<Fn>::kOps;
   }
 
   struct QueuedEvent {
@@ -271,10 +206,6 @@ class Simulator {
       v_[hole] = last;
     }
 
-    /// Entries in heap-internal order — for checkpoint scans only; the pop
-    /// order is still defined solely by (t, seq).
-    const std::vector<QueuedEvent>& entries() const { return v_; }
-
    private:
     static bool earlier(const QueuedEvent& a, const QueuedEvent& b) {
       if (a.t != b.t) return a.t < b.t;
@@ -283,24 +214,7 @@ class Simulator {
     std::vector<QueuedEvent> v_;
   };
 
-  // Serializable POD payload for tagged events; lives in the slot's inline
-  // buffer exactly like a closure, sharing the same dispatch vtable shape.
-  struct TaggedEvent {
-    Simulator* sim;
-    std::uint64_t a;
-    std::uint64_t b;
-    std::uint16_t tag;
-  };
-  static_assert(sizeof(TaggedEvent) <= kInlineActionBytes);
-  static void tagged_run_and_destroy(EventSlot& s);
-  static const SlotOps kTaggedOps;
-
-  void dispatch_tagged(std::uint16_t tag, std::uint64_t a, std::uint64_t b);
-
   EventSlot& slot_at(std::uint32_t idx) {
-    return chunks_[idx / kSlotsPerChunk][idx % kSlotsPerChunk];
-  }
-  const EventSlot& slot_at(std::uint32_t idx) const {
     return chunks_[idx / kSlotsPerChunk][idx % kSlotsPerChunk];
   }
 
@@ -323,7 +237,6 @@ class Simulator {
   std::vector<std::unique_ptr<EventSlot[]>> chunks_;
   std::uint32_t next_unused_ = 0;
   std::uint32_t free_head_ = kNoSlot;
-  std::vector<TaggedHandler> handlers_;  // indexed by tag
 };
 
 }  // namespace ecnd::sim

@@ -1,8 +1,8 @@
-// Checkpoint/restore fidelity: a run saved mid-flight and resumed in a fresh
-// engine must be bit-identical to one that never stopped — same observer
-// rows, same event pop sequence, same metric counts. Both engines are
-// covered (fluid DdeSolver and packet Simulator), plus the refusal paths
-// (corruption, wrong kind, stale layout, non-fresh targets).
+// Checkpoint/restore fidelity for the fluid DdeSolver: a run saved
+// mid-flight and resumed in a fresh solver must be bit-identical to one that
+// never stopped — same observer rows, same state, same retry count. The
+// refusal paths are covered too: a corrupted or truncated payload, a
+// dimension mismatch, and a header whose magic, version or kind is wrong.
 
 #include <gtest/gtest.h>
 
@@ -10,21 +10,15 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "core/diagnostic.hpp"
 #include "core/snapshot.hpp"
 #include "fluid/dcqcn_model.hpp"
 #include "fluid/dde_solver.hpp"
-#include "obs/metrics.hpp"
 #include "robust/invariant_guard.hpp"
-#include "sim/simulator.hpp"
 
 namespace ecnd {
 namespace {
-
-// -- Fluid side --------------------------------------------------------------
 
 /// dx/dt = -k x(t - tau): delayed negative feedback, oscillatory for
 /// k * tau near pi/2 — plenty of history traffic for the snapshot to carry.
@@ -168,147 +162,39 @@ TEST(FluidCheckpoint, TruncatedStreamIsRejected) {
   EXPECT_THROW(dst.restore(beheaded), SnapshotError);
 }
 
-// -- Packet side -------------------------------------------------------------
-
-using EventLog = std::vector<std::tuple<PicoTime, std::uint64_t, std::uint64_t>>;
-
-/// Self-rearming tagged workload: four "flows" ping at staggered,
-/// flow-dependent gaps so pops interleave nontrivially across the midpoint.
-void arm_toy_workload(sim::Simulator& sim, EventLog& log) {
-  sim.register_handler(0, [&sim, &log](std::uint64_t flow,
-                                       std::uint64_t remaining) {
-    log.emplace_back(sim.now(), flow, remaining);
-    if (remaining > 0) {
-      const PicoTime gap = 100'000 + static_cast<PicoTime>(flow) * 7919 +
-                           static_cast<PicoTime>(remaining) * 131;
-      sim.schedule_tagged_in(gap, 0, flow, remaining - 1);
-    }
-  });
-}
-
-TEST(SimCheckpoint, RestoredSimulatorContinuesBitIdentically) {
-  const PicoTime mid = 450'000, end = 2'000'000;
-
-  // Reference: same run_until split, never interrupted.
-  sim::Simulator ref;
-  EventLog ref_log;
-  arm_toy_workload(ref, ref_log);
-  for (std::uint64_t flow = 0; flow < 4; ++flow) {
-    ref.schedule_tagged_at(static_cast<PicoTime>(flow) * 1000, 0, flow, 5);
-  }
-  ref.run_until(mid);
-  ref.run_until(end);
-
-  sim::Simulator first;
-  EventLog got_log;
-  arm_toy_workload(first, got_log);
-  for (std::uint64_t flow = 0; flow < 4; ++flow) {
-    first.schedule_tagged_at(static_cast<PicoTime>(flow) * 1000, 0, flow, 5);
-  }
-  first.run_until(mid);
-  ASSERT_TRUE(first.checkpointable());
-  std::stringstream snap;
-  first.save(snap);
-
-  sim::Simulator resumed;
-  resumed.restore(snap);
-  arm_toy_workload(resumed, got_log);  // handlers re-registered after restore
-  EXPECT_EQ(resumed.now(), first.now());
-  EXPECT_EQ(resumed.events_pending(), first.events_pending());
-  EXPECT_EQ(resumed.events_processed(), first.events_processed());
-  resumed.run_until(end);
-
-  EXPECT_EQ(got_log, ref_log);
-  EXPECT_EQ(resumed.events_processed(), ref.events_processed());
-  EXPECT_EQ(resumed.now(), ref.now());
-  EXPECT_EQ(resumed.late_schedules(), ref.late_schedules());
-}
-
-TEST(SimCheckpoint, PoolReuseMetricContinuesIdentically) {
-  // The snapshot carries the event-pool arena size, so the restored run
-  // serves the same acquisitions from the free list as the original —
-  // sim.event_pool_reuse must match an uninterrupted run exactly.
-  obs::reset();
-  obs::set_metrics_enabled(true);
-
-  const PicoTime mid = 450'000, end = 2'000'000;
-  auto run_and_dump = [&](bool interrupted) {
-    obs::reset();
-    std::string dump;
-    {
-      sim::Simulator first;
-      EventLog log;
-      arm_toy_workload(first, log);
-      for (std::uint64_t flow = 0; flow < 4; ++flow) {
-        first.schedule_tagged_at(static_cast<PicoTime>(flow) * 1000, 0, flow,
-                                 5);
-      }
-      first.run_until(mid);
-      if (interrupted) {
-        std::stringstream snap;
-        first.save(snap);
-        sim::Simulator resumed;
-        resumed.restore(snap);
-        EventLog tail;
-        arm_toy_workload(resumed, tail);
-        resumed.run_until(end);
-      } else {
-        first.run_until(end);
-      }
-      std::ostringstream out;
-      obs::dump_metrics_json(out);
-      dump = out.str();
-    }
-    return dump;
-  };
-
-  const std::string uninterrupted = run_and_dump(false);
-  const std::string resumed = run_and_dump(true);
-  obs::set_metrics_enabled(false);
-  EXPECT_EQ(resumed, uninterrupted);
-}
-
-TEST(SimCheckpoint, SaveRefusesPendingClosureEvents) {
-  sim::Simulator sim;
-  sim.schedule_in(1000, [] {});
-  EXPECT_FALSE(sim.checkpointable());
-  std::stringstream snap;
-  EXPECT_THROW(sim.save(snap), SnapshotError);
-}
-
-TEST(SimCheckpoint, RestoreRequiresFreshSimulator) {
-  sim::Simulator src;
-  src.schedule_tagged_at(1000, 0, 1, 2);
+TEST(FluidCheckpoint, PatchedHeaderFieldIsRejectedByName) {
+  const DelayedFeedback sys(10.0, 0.01);
+  fluid::DdeSolver src(sys, {1.0}, 0.0, 1e-4);
+  observe_rows(src, 0.01, 0.0);
   std::stringstream snap;
   src.save(snap);
+  const std::string bytes = snap.str();
 
-  sim::Simulator used;
-  used.register_handler(0, [](std::uint64_t, std::uint64_t) {});
-  used.schedule_tagged_at(500, 0, 0, 0);
-  used.run_all();
-  EXPECT_THROW(used.restore(snap), SnapshotError);
-}
-
-TEST(SimCheckpoint, RestoreRejectsWrongKind) {
-  const DelayedFeedback sys(10.0, 0.01);
-  fluid::DdeSolver solver(sys, {1.0}, 0.0, 1e-4);
-  std::stringstream snap;
-  solver.save(snap);
-
-  sim::Simulator sim;
-  EXPECT_THROW(sim.restore(snap), SnapshotError);
-}
-
-TEST(SimCheckpoint, UnregisteredTagThrowsInvariantViolation) {
-  sim::Simulator sim;
-  sim.schedule_tagged_at(1000, 7, 0, 0);
-  try {
-    sim.run_all();
-    FAIL() << "expected InvariantViolation";
-  } catch (const InvariantViolation& e) {
-    EXPECT_EQ(e.diagnostic().component, "Simulator");
-    EXPECT_NE(std::string(e.what()).find("register_handler"),
-              std::string::npos);
+  // Header: magic u32 at 0, version u16 at 4, kind u16 at 6 (little-endian).
+  struct Patch {
+    std::size_t offset;
+    std::uint16_t value;
+    const char* field;
+  };
+  const Patch patches[] = {
+      {0, 0x5858, "magic"},
+      {4, static_cast<std::uint16_t>(kSnapshotVersion + 1), "version"},
+      {6, 2, "kind"},
+  };
+  for (const Patch& p : patches) {
+    SCOPED_TRACE(p.field);
+    std::string patched = bytes;
+    patched[p.offset] = static_cast<char>(p.value & 0xFF);
+    patched[p.offset + 1] = static_cast<char>(p.value >> 8);
+    std::stringstream in(patched);
+    fluid::DdeSolver dst(sys, {1.0}, 0.0, 1e-4);
+    try {
+      dst.restore(in);
+      ADD_FAILURE() << "expected SnapshotError";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find(p.field), std::string::npos)
+          << e.what();
+    }
   }
 }
 

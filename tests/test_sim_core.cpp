@@ -326,25 +326,6 @@ TEST(EventPool, ThrowingActionStillRecyclesItsSlot) {
   EXPECT_TRUE(after_ran);
 }
 
-TEST(EventPool, OversizedCapturesFallBackToHeapAndStillRun) {
-  // Larger than the 64-byte inline slot buffer: exercises the heap path.
-  struct Big {
-    double payload[32];
-  };
-  Simulator sim;
-  Big big{};
-  big.payload[0] = 1.0;
-  big.payload[31] = 2.0;
-  double sum = 0.0;
-  int live = 0;
-  sim.schedule_at(5, [big, tracker = LifeTracker(&live), &sum] {
-    sum = big.payload[0] + big.payload[31];
-  });
-  sim.run_all();
-  EXPECT_DOUBLE_EQ(sum, 3.0);
-  EXPECT_EQ(live, 0);
-}
-
 TEST(EventPool, SteadyStateChurnKeepsPendingBounded) {
   // A self-rescheduling chain dispatches 100k events through what should be
   // a handful of recycled slots; pending never exceeds the live event count.
