@@ -11,7 +11,7 @@
 // DCQCN stays bounded by the RED band.
 //
 // To decompose an inflated tail into per-hop queueing, run with the flight
-// recorder armed (ECND_FLIGHT=fct ECND_FLIGHT_SAMPLE=16 ECND_QUICK=1): the
+// recorder armed (ECND_RUN_DIR=fct ECND_RUN_DETAIL=flight ECND_QUICK=1): the
 // sampled flows' postcards and Perfetto spans localize where FCT was spent
 // without perturbing the CSV (OBSERVABILITY.md "Flight recorder").
 

@@ -5,9 +5,10 @@
 // transients; patched TIMELY operates between the two.
 //
 // The queue excursions here are fleet-aggregate; to attribute one to the
-// flows riding it, arm the flight recorder (ECND_FLIGHT=q16) — each sampled
-// flow's postcards carry the backlog it joined and the marking probability
-// it saw at the bottleneck (OBSERVABILITY.md "Flight recorder").
+// flows riding it, arm the flight recorder (ECND_RUN_DIR=q16
+// ECND_RUN_DETAIL=flight) — each sampled flow's postcards carry the backlog
+// it joined and the marking probability it saw at the bottleneck
+// (OBSERVABILITY.md "Flight recorder").
 
 #include <cstdlib>
 #include <iostream>

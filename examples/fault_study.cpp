@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "cli_args.hpp"
+#include "core/cli_args.hpp"
 #include "core/parallel.hpp"
 #include "core/stats.hpp"
 #include "exp/scenarios.hpp"

@@ -8,7 +8,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include "cli_args.hpp"
+#include "core/cli_args.hpp"
 #include "core/stats.hpp"
 #include "core/table.hpp"
 #include "exp/scenarios.hpp"

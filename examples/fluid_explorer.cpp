@@ -15,7 +15,7 @@
 #include <cstring>
 #include <memory>
 
-#include "cli_args.hpp"
+#include "core/cli_args.hpp"
 #include "core/diagnostic.hpp"
 #include "fluid/dcqcn_model.hpp"
 #include "fluid/fluid_model.hpp"

@@ -12,9 +12,9 @@
 #include <cstdio>
 #include <vector>
 
-#include "cli_args.hpp"
 #include "control/dcqcn_analysis.hpp"
 #include "control/timely_analysis.hpp"
+#include "core/cli_args.hpp"
 #include "core/parallel.hpp"
 
 using namespace ecnd;

@@ -9,20 +9,18 @@
 # test on both the serial and the threaded path.
 #
 # --obs-smoke exercises the whole observability layer (OBSERVABILITY.md) on
-# quick runs at ECND_THREADS=1 and 4: bench_fig14 with metrics, trace,
-# metric snapshots and the profiler armed, bench_ext_fabric (fat-tree incast,
-# shuffle and PFC pause storm) with the flight recorder and the run manifest
-# armed, and both idle. Every export and manifest must be valid and
-# byte-identical across thread counts, the pause storm lossless, stdout
-# byte-identical armed vs idle, ecnd-diff clean on the identical pair and
-# divergent (with a first-divergence timestamp) on a fault_study seed pair,
-# and a -DECND_OBS=OFF build must write no export or manifest file and print
-# the same stdout.
+# quick bench_fig14 and bench_ext_fabric (fat-tree incast, shuffle and PFC
+# pause storm) runs at ECND_THREADS=1 and 4, idle and with a run directory.
+# Every file in it must be valid and byte-identical across thread counts
+# (bar the wall-time profile), the storm lossless, stdout the same armed or
+# idle, ecnd-diff clean on the identical pair and divergent (with a
+# first-divergence timestamp) on a fault_study seed pair, and a
+# -DECND_OBS=OFF build must create no directory and print the same stdout.
 #
-# --report runs the quick figure set with ECND_MANIFEST armed, gates the
-# resulting manifests against bench/expectations.json via ecnd-report, and
-# checks the manifest contract: bit-identical at ECND_THREADS=1 vs 4 and
-# stdout untouched by the writer.
+# --report runs the quick figure set with a run directory per harness,
+# requires stdout and run directories bit-identical at ECND_THREADS=1 vs 4
+# and stdout untouched by the recorders, and gates the manifests against
+# bench/expectations.json via ecnd-report.
 #
 # --perf re-measures the engine hot loops (bench_micro_perf's dedicated
 # baseline timing loops, including the 10k-flow ns_per_flow_rhs scaling
@@ -89,64 +87,56 @@ obs_smoke() {
   build_suite build
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
-  local fig14=build/bench/bench_fig14_fct_vs_load
-  local fabric=build/bench/bench_ext_fabric
   local diff_bin=build/src/report/ecnd-diff
 
-  # fig14 arms metrics, trace, snapshots and the profiler; the fabric suite
-  # arms the flight recorder (1 in 4 flows sampled, so even the quick grids
-  # carry postcards) and the manifest.
-  local t f
+  # name, detail level, binary: fig14 records metrics, snapshots and the
+  # trace of a 12-task sweep; the fabric suite records everything, adding
+  # the flight recorder, the profiler and the manifest.
+  local runs=("fig14 trace bench/bench_fig14_fct_vs_load"
+              "fabric prof bench/bench_ext_fabric")
+  local entry name level bin t
   for t in 1 4; do
     echo "-- idle and armed runs, ECND_THREADS=$t"
-    ECND_QUICK=1 ECND_THREADS=$t "$fig14" > "$tmp/fig14_idle$t.csv" 2>/dev/null
-    ECND_QUICK=1 ECND_THREADS=$t "$fabric" > "$tmp/fabric_idle$t.txt" 2>/dev/null
-    ECND_QUICK=1 ECND_THREADS=$t ECND_METRICS="$tmp/f$t.metrics.json" \
-      ECND_TRACE="$tmp/f$t.trace.json" ECND_METRICS_TS="$tmp/f$t" \
-      ECND_PROF="$tmp/f$t" "$fig14" > "$tmp/fig14_armed$t.csv" 2>/dev/null
-    ECND_QUICK=1 ECND_THREADS=$t ECND_FLIGHT="$tmp/x$t" ECND_FLIGHT_SAMPLE=4 \
-      ECND_MANIFEST="$tmp/x$t.manifest.json" \
-      "$fabric" > "$tmp/fabric_armed$t.txt" 2>/dev/null
+    for entry in "${runs[@]}"; do
+      read -r name level bin <<< "$entry"
+      ECND_QUICK=1 ECND_THREADS=$t "build/$bin" > "$tmp/$name.idle$t" 2>/dev/null
+      ECND_QUICK=1 ECND_THREADS=$t ECND_RUN_DIR="$tmp/$name$t" \
+        ECND_RUN_DETAIL=$level "build/$bin" > "$tmp/$name.armed$t" 2>/dev/null
+      cmp "$tmp/$name.idle1" "$tmp/$name.idle$t"
+      cmp "$tmp/$name.idle1" "$tmp/$name.armed$t"
+    done
   done
 
-  echo "-- stdout byte-identical across thread counts and armed vs idle"
-  for t in 1 4; do
-    cmp "$tmp/fig14_idle1.csv" "$tmp/fig14_idle$t.csv"
-    cmp "$tmp/fig14_idle1.csv" "$tmp/fig14_armed$t.csv"
-    cmp "$tmp/fabric_idle1.txt" "$tmp/fabric_idle$t.txt"
-    cmp "$tmp/fabric_idle1.txt" "$tmp/fabric_armed$t.txt"
-  done
-
-  echo "-- exports and manifest byte-identical across thread counts"
-  for f in metrics.json trace.json metrics_ts.json prof.folded; do
-    cmp "$tmp/f1.$f" "$tmp/f4.$f"
-  done
-  for f in postcards.json timeline.json pausetree.json manifest.json; do
-    cmp "$tmp/x1.$f" "$tmp/x4.$f"
+  echo "-- run directories byte-identical across thread counts"
+  for entry in "${runs[@]}"; do
+    read -r name level bin <<< "$entry"
+    diff -r -x profile.wall.folded "$tmp/${name}1" "$tmp/${name}4"
   done
 
   echo "-- JSON validity, sampled postcards, rooted pause tree, lossless storm"
-  python3 - "$tmp" <<'EOF'
+  python3 - "$tmp/fig141" "$tmp/fabric1" <<'EOF'
 import json, sys
-tmp = sys.argv[1]
-m = json.load(open(f"{tmp}/f1.metrics.json"))
+f, x = sys.argv[1], sys.argv[2]
+m = json.load(open(f"{f}/metrics.json"))
 assert m["schema"] == "ecnd-metrics-v1", m.get("schema")
 assert m["counters"].get("sim.events", 0) > 0, "no sim.events counted"
-t = json.load(open(f"{tmp}/f1.trace.json"))
+t = json.load(open(f"{f}/trace.json"))
 assert isinstance(t["traceEvents"], list) and t["traceEvents"], "empty trace"
-ts = json.load(open(f"{tmp}/f1.metrics_ts.json"))
+ts = json.load(open(f"{f}/metrics_ts.json"))
 assert ts["schema"] == "ecnd-metrics-ts-v1" and ts["tasks"], "no snapshots"
-assert open(f"{tmp}/f1.prof.folded").read(), "empty folded profile"
-p = json.load(open(f"{tmp}/x1.postcards.json"))
+assert "== end summary ==" in open(f"{f}/summary.txt").read(), "no summary"
+assert "par.sweep" in open(f"{x}/profile.folded").read(), "no sweep frames"
+assert open(f"{x}/profile.wall.folded").read(), "empty wall profile"
+p = json.load(open(f"{x}/flight.postcards.json"))
 assert p["schema"] == "ecnd-flight-postcards-v1", p.get("schema")
 records = sum(len(t["records"]) for t in p["tasks"])
 assert records > 0, "no postcards sampled"
 hop = next(r for t in p["tasks"] if t["records"] for r in t["records"])
 assert hop["port"] and hop["t_out_ps"] >= hop["t_in_ps"], hop
-tl = json.load(open(f"{tmp}/x1.timeline.json"))
+tl = json.load(open(f"{x}/flight.timeline.json"))
 spans = [e for e in tl["traceEvents"] if e.get("ph") == "X"]
 assert spans, "no flow spans in the timeline"
-pt = json.load(open(f"{tmp}/x1.pausetree.json"))
+pt = json.load(open(f"{x}/flight.pausetree.json"))
 assert pt["schema"] == "ecnd-flight-pausetree-v1", pt.get("schema")
 stormy = [task for task in pt["tasks"] if task["nodes"]]
 assert stormy, "no pause records in the pause tree"
@@ -155,7 +145,7 @@ for task in stormy:
     assert roots and task["roots"] >= len({n["id"] for n in roots}) > 0
     assert all(n["trigger_flow"] > 0 for n in task["nodes"]), "unattributed pause"
     assert task["top_offender"]["flow"] > 0
-obs = json.load(open(f"{tmp}/x1.manifest.json"))["observables"]
+obs = json.load(open(f"{x}/manifest.json"))["observables"]
 for variant in ("default", "tight"):
     assert obs[f"pause_depth.{variant}"] >= 1, variant
     assert obs[f"storm_drops.{variant}"] == 0, variant
@@ -167,13 +157,13 @@ print(f"   {len(m['counters'])} counters, {len(t['traceEvents'])} trace events, 
 EOF
 
   echo "-- ecnd-diff: identical pair exits 0, perturbed-seed pair diverges"
-  "$diff_bin" "$tmp/f1.metrics_ts.json" "$tmp/f4.metrics_ts.json" \
+  "$diff_bin" "$tmp/fig141/metrics_ts.json" "$tmp/fig144/metrics_ts.json" \
     > "$tmp/d_same.md"
-  ECND_THREADS=2 ECND_METRICS_TS="$tmp/p1" \
-    build/examples/fault_study 4 0.05 1 > /dev/null 2>&1
-  ECND_THREADS=2 ECND_METRICS_TS="$tmp/p2" \
-    build/examples/fault_study 4 0.05 2 > /dev/null 2>&1
-  if "$diff_bin" "$tmp/p1.metrics_ts.json" "$tmp/p2.metrics_ts.json" \
+  for t in 1 2; do
+    ECND_THREADS=2 ECND_RUN_DIR="$tmp/seed$t" \
+      build/examples/fault_study 4 0.05 $t > /dev/null 2>&1
+  done
+  if "$diff_bin" "$tmp/seed1/metrics_ts.json" "$tmp/seed2/metrics_ts.json" \
       > "$tmp/d_diff.md"; then
     echo "ERROR: ecnd-diff reported no drift between different seeds" >&2
     exit 1
@@ -183,23 +173,20 @@ EOF
     exit 1
   fi
 
-  echo "-- compiled out (-DECND_OBS=OFF): no files, stdout identical"
+  echo "-- compiled out (-DECND_OBS=OFF): no directory, stdout identical"
   cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
   cmake --build build-obs-off -j --target bench_fig14_fct_vs_load bench_ext_fabric
   mkdir "$tmp/off"
-  ECND_QUICK=1 ECND_METRICS="$tmp/off/f.metrics.json" \
-    ECND_TRACE="$tmp/off/f.trace.json" ECND_METRICS_TS="$tmp/off/f" \
-    ECND_PROF="$tmp/off/f" ECND_MANIFEST="$tmp/off/f.manifest.json" \
-    build-obs-off/bench/bench_fig14_fct_vs_load > "$tmp/fig14_off.csv" 2>/dev/null
-  ECND_QUICK=1 ECND_FLIGHT="$tmp/off/x" ECND_FLIGHT_SAMPLE=4 \
-    ECND_MANIFEST="$tmp/off/x.manifest.json" \
-    build-obs-off/bench/bench_ext_fabric > "$tmp/fabric_off.txt" 2>/dev/null
+  for entry in "${runs[@]}"; do
+    read -r name level bin <<< "$entry"
+    ECND_QUICK=1 ECND_RUN_DIR="$tmp/off/$name" ECND_RUN_DETAIL=prof \
+      "build-obs-off/$bin" > "$tmp/$name.off" 2>/dev/null
+    cmp "$tmp/$name.idle1" "$tmp/$name.off"
+  done
   if [[ -n "$(ls -A "$tmp/off")" ]]; then
     echo "ERROR: -DECND_OBS=OFF build wrote: $(ls "$tmp/off")" >&2
     exit 1
   fi
-  cmp "$tmp/fig14_idle1.csv" "$tmp/fig14_off.csv"
-  cmp "$tmp/fabric_idle1.txt" "$tmp/fabric_off.txt"
 
   echo "obs smoke: all checks passed"
 }
@@ -211,45 +198,37 @@ report() {
   trap 'rm -rf "$tmp"' EXIT
 
   # The quick figure set: every manifest-wired harness, sized so the whole
-  # sweep takes tens of seconds. bench/expectations.json is calibrated for
-  # exactly these sizes (ECND_QUICK=1 where honored; fault_study 4 0.05 1).
-  run_quick_set() {
-    local threads="$1" mdir="$2" outdir="$3"
-    mkdir -p "$mdir" "$outdir"
-    local t="$threads" q="ECND_QUICK=1"
-    ECND_THREADS="$t" ECND_MANIFEST="$mdir/fig02.json" \
-      build/bench/bench_fig02_dcqcn_validation > "$outdir/fig02.csv" 2>/dev/null
-    ECND_THREADS="$t" ECND_MANIFEST="$mdir/fig03.json" \
-      build/bench/bench_fig03_dcqcn_phase_margin > "$outdir/fig03.csv" 2>/dev/null
-    ECND_THREADS="$t" ECND_MANIFEST="$mdir/fig09.json" \
-      build/bench/bench_fig09_timely_unfairness > "$outdir/fig09.csv" 2>/dev/null
-    ECND_THREADS="$t" ECND_MANIFEST="$mdir/fig11.json" \
-      build/bench/bench_fig11_patched_phase_margin > "$outdir/fig11.csv" 2>/dev/null
-    ECND_THREADS="$t" ECND_MANIFEST="$mdir/fig12.json" \
-      build/bench/bench_fig12_patched_timely > "$outdir/fig12.csv" 2>/dev/null
-    env "$q" ECND_THREADS="$t" ECND_MANIFEST="$mdir/fig14.json" \
-      build/bench/bench_fig14_fct_vs_load > "$outdir/fig14.csv" 2>/dev/null
-    env "$q" ECND_THREADS="$t" ECND_MANIFEST="$mdir/fig16.json" \
-      build/bench/bench_fig16_queue_timeseries > "$outdir/fig16.csv" 2>/dev/null
-    ECND_THREADS="$t" ECND_MANIFEST="$mdir/fig20.json" \
-      build/bench/bench_fig20_jitter > "$outdir/fig20.csv" 2>/dev/null
-    env "$q" ECND_THREADS="$t" ECND_MANIFEST="$mdir/ext_fabric.json" \
-      build/bench/bench_ext_fabric > "$outdir/ext_fabric.csv" 2>/dev/null
-    ECND_THREADS="$t" ECND_MANIFEST="$mdir/fault_study.json" \
-      build/examples/fault_study 4 0.05 1 > "$outdir/fault_study.csv" 2>/dev/null
-  }
-
-  echo "-- quick figure set, ECND_THREADS=1"
-  run_quick_set 1 "$tmp/manifests1" "$tmp/out1"
-  echo "-- quick figure set, ECND_THREADS=4"
-  run_quick_set 4 "$tmp/manifests4" "$tmp/out4"
-
-  echo "-- manifests bit-identical across thread counts"
-  for f in "$tmp"/manifests1/*.json; do
-    cmp "$f" "$tmp/manifests4/$(basename "$f")"
+  # set takes tens of seconds. bench/expectations.json is calibrated for
+  # exactly these sizes: ECND_QUICK=1 (read by fig14, fig16 and ext_fabric)
+  # and fault_study 4 0.05 1.
+  local quick_set=(
+    "fig02 bench/bench_fig02_dcqcn_validation"
+    "fig03 bench/bench_fig03_dcqcn_phase_margin"
+    "fig09 bench/bench_fig09_timely_unfairness"
+    "fig11 bench/bench_fig11_patched_phase_margin"
+    "fig12 bench/bench_fig12_patched_timely"
+    "fig14 bench/bench_fig14_fct_vs_load"
+    "fig16 bench/bench_fig16_queue_timeseries"
+    "fig20 bench/bench_fig20_jitter"
+    "ext_fabric bench/bench_ext_fabric"
+    "fault_study examples/fault_study 4 0.05 1"
+  )
+  local entry name cmd t manifests=()
+  for t in 1 4; do
+    echo "-- quick figure set, ECND_THREADS=$t"
+    mkdir -p "$tmp/out$t"
+    for entry in "${quick_set[@]}"; do
+      read -r name cmd <<< "$entry"
+      ECND_QUICK=1 ECND_THREADS=$t ECND_RUN_DIR="$tmp/run$t/$name" \
+        build/$cmd > "$tmp/out$t/$name.csv" 2>/dev/null
+    done
   done
 
-  echo "-- stdout untouched by the manifest writer (fig02 armed vs idle)"
+  echo "-- stdout and run directories byte-identical across thread counts"
+  diff -r "$tmp/out1" "$tmp/out4"
+  diff -r "$tmp/run1" "$tmp/run4"
+
+  echo "-- stdout untouched by the recorders (fig02 armed vs idle)"
   build/bench/bench_fig02_dcqcn_validation > "$tmp/fig02_idle.csv" 2>/dev/null
   cmp "$tmp/out1/fig02.csv" "$tmp/fig02_idle.csv"
 
@@ -262,9 +241,12 @@ report() {
     "$tmp/bench_current.json"
 
   echo "-- ecnd-report gate (bench/expectations.json)"
+  for entry in "${quick_set[@]}"; do
+    manifests+=(--manifest "$tmp/run1/${entry%% *}/manifest.json")
+  done
   build/src/report/ecnd-report \
     --expectations bench/expectations.json \
-    --manifest-dir "$tmp/manifests1" \
+    "${manifests[@]}" \
     --bench-baseline BENCH_obs.json \
     --bench-current "$tmp/bench_current.json" \
     --out REPORT.md

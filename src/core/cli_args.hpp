@@ -1,8 +1,10 @@
 #pragma once
-// Whole-string argument parsing shared by the example programs. A parser
-// returns false on junk, trailing characters, overflow or empty input, so a
-// mistyped argument reaches the caller's usage message instead of being read
-// as 0 (atoi) or wrapped (strtoull).
+// Whole-string argument parsing shared by the example programs and
+// ecnd-diff. A parser returns false on junk, trailing characters, overflow or
+// empty input, so a mistyped argument reaches the caller's usage message
+// instead of being read as 0 (atoi) or wrapped (strtoull).
+//
+// Header-only: ecnd-diff links only ecnd_report, not ecnd_core.
 
 #include <cerrno>
 #include <charconv>

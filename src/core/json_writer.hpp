@@ -71,7 +71,9 @@ inline std::string trace_value(double v) { return fixed("%.9g", v); }
 
 /// Create `path` and hand the stream to `writer`. When the file cannot be
 /// opened, print "[obs] cannot open <knob> path <path>" to stderr and write
-/// nothing. Returns true when the file was written without a stream error.
+/// nothing; when writing or flushing it fails (a full disk), print
+/// "[obs] cannot write <knob> path <path>". Returns true only when every
+/// byte reached the file.
 template <typename Writer>
 bool write_file(const std::string& path, const char* knob, Writer&& writer) {
   std::ofstream out(path);
@@ -80,7 +82,11 @@ bool write_file(const std::string& path, const char* knob, Writer&& writer) {
     return false;
   }
   writer(static_cast<std::ostream&>(out));
-  return static_cast<bool>(out);
+  if (!out.flush()) {
+    std::fprintf(stderr, "[obs] cannot write %s path %s\n", knob, path.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace ecnd::json

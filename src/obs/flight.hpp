@@ -22,8 +22,8 @@
 //     rooted forest: the root is the first pause at the congestion victim,
 //     children are the upstream pauses it caused.
 //
-// Sampling is an FNV-1a hash of (src, dst, flow_id) against the
-// ECND_FLIGHT_SAMPLE modulus — the same pure-hash idiom as sim's ecmp_hash.
+// Sampling is an FNV-1a hash of (src, dst, flow_id) against the sampling
+// modulus — the same pure-hash idiom as sim's ecmp_hash.
 // No RNG stream is consumed, so a run's packet-level behavior is
 // bit-identical with the recorder armed, idle, or compiled out.
 //
@@ -32,11 +32,11 @@
 // ECND_THREADS. Postcard buffers are bounded (keep-first + drop counter);
 // span and pause buffers are small by construction.
 //
-// Runtime knobs: ECND_FLIGHT=<prefix> arms the recorder and writes
-// <prefix>.postcards.json, <prefix>.timeline.json and <prefix>.pausetree.json
-// at process exit; ECND_FLIGHT_SAMPLE=<n> samples flows whose identity hash
-// is divisible by n (default 16; 1 = every flow). Compile-time:
-// -DECND_OBS=OFF no-ops everything here.
+// Runtime: ECND_RUN_DETAIL=flight (or above) arms the recorder and writes
+// flight.postcards.json, flight.timeline.json and flight.pausetree.json into
+// the run directory at process exit. It samples flows whose identity hash is
+// divisible by 16 (set_flight_sample for tests; 1 = every flow).
+// Compile-time: -DECND_OBS=OFF no-ops everything here.
 
 #include <atomic>
 #include <cstdint>
@@ -44,7 +44,7 @@
 
 namespace ecnd::obs {
 
-/// Default sampling modulus when ECND_FLIGHT_SAMPLE is unset: 1 in 16 flows.
+/// Default sampling modulus: 1 in 16 flows.
 inline constexpr std::uint64_t kDefaultFlightSample = 16;
 
 /// One postcard: a sampled packet's passage through one hop. POD; `port` must
@@ -102,7 +102,8 @@ inline bool flight_enabled() {
   return detail::g_flight_on.load(std::memory_order_relaxed);
 }
 
-/// Programmatic override (tests). ECND_FLIGHT arms this at startup.
+/// Programmatic override (tests). ECND_RUN_DETAIL=flight arms this at
+/// startup.
 void set_flight_enabled(bool on);
 
 /// Sampling modulus: a flow is recorded iff hash(src,dst,flow) % n == 0.

@@ -3,9 +3,7 @@
 #if !defined(ECND_OBS_DISABLED)
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
-#include <thread>
 
 #include "core/json_writer.hpp"
 #include "obs/metrics.hpp"
@@ -139,20 +137,7 @@ void RunManifest::write(std::ostream& out) const {
   char digest[32];
   std::snprintf(digest, sizeof(digest), "fnv1a:%016llx",
                 static_cast<unsigned long long>(metrics_digest()));
-  const bool env = std::getenv("ECND_MANIFEST_ENV") != nullptr;
-  out << "  \"metrics_digest\": \"" << digest << "\"" << (env ? ",\n" : "\n");
-
-  if (env) {
-    // Opt-in machine descriptor: these values vary across hosts and knob
-    // settings, so they are excluded from the byte-stable default form.
-    const char* threads = std::getenv("ECND_THREADS");
-    out << "  \"environment\": {\n"
-        << "    \"ecnd_threads\": "
-        << (threads != nullptr ? json::quote(threads) : "null") << ",\n"
-        << "    \"hw_threads\": " << std::thread::hardware_concurrency()
-        << "\n  }\n";
-  }
-  out << "}\n";
+  out << "  \"metrics_digest\": \"" << digest << "\"\n}\n";
 }
 
 std::string RunManifest::to_json() const {
@@ -161,12 +146,10 @@ std::string RunManifest::to_json() const {
   return out.str();
 }
 
-const char* RunManifest::env_path() { return std::getenv("ECND_MANIFEST"); }
-
 bool RunManifest::write_if_requested() const {
-  const char* path = env_path();
-  return path != nullptr &&
-         json::write_file(path, "ECND_MANIFEST",
+  const std::string path = run_file("manifest.json");
+  return !path.empty() &&
+         json::write_file(path, "ECND_RUN_DIR",
                           [this](std::ostream& out) { write(out); });
 }
 

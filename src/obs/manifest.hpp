@@ -6,18 +6,17 @@
 //
 // Contract (enforced by scripts/check.sh --report and the determinism
 // suite):
-//   * A manifest is bit-identical at any ECND_THREADS, like the PR-3 metric
-//     and trace exports: observables come from deterministic sweep results,
+//   * A manifest is bit-identical at any ECND_THREADS, like the metric and
+//     trace exports: observables come from deterministic sweep results,
 //     keys are sorted, and doubles render via shortest-round-trip to_chars.
 //     Environment facts that legitimately vary across runs (worker count,
-//     hardware threads) are therefore NOT in the default output; set
-//     ECND_MANIFEST_ENV=1 to append an "environment" section when you want a
-//     machine descriptor more than byte-stable files.
-//   * Nothing here touches stdout. The manifest goes only to the
-//     ECND_MANIFEST=<path> file; a harness's CSV is byte-identical with the
-//     manifest armed, idle, or compiled out.
+//     hardware threads) are therefore not in it.
+//   * Nothing here touches stdout. The manifest goes only to manifest.json
+//     in the run directory (ECND_RUN_DIR, obs/metrics.hpp run_file); a
+//     harness's CSV is byte-identical with the manifest armed, idle, or
+//     compiled out.
 //   * -DECND_OBS=OFF compiles the writer out: write_if_requested() is an
-//     inline no-op and no file is ever created, even with ECND_MANIFEST set.
+//     inline no-op and no file is ever created, even with ECND_RUN_DIR set.
 //
 // Usage, at the end of a harness main():
 //
@@ -26,7 +25,7 @@
 //   m.observable("queue_mean_kb.fluid.n2", fluid_kb);
 //   m.observable("settle_s.n2", settle.settled
 //                ? std::optional<double>(settle.settle_t) : std::nullopt);
-//   m.write_if_requested();   // no-op unless ECND_MANIFEST is set
+//   m.write_if_requested();   // no-op unless ECND_RUN_DIR is set
 //
 // The regression reporter (src/report, `ecnd-report`) aggregates these files
 // and gates them against bench/expectations.json.
@@ -89,12 +88,9 @@ class RunManifest {
   void write(std::ostream& out) const;
   std::string to_json() const;
 
-  /// Write to the ECND_MANIFEST path if the env knob is set. Returns true
-  /// only when a file was written. Never touches stdout.
+  /// Write manifest.json in the run directory if one is armed. Returns true
+  /// only when the file was written. Never touches stdout.
   bool write_if_requested() const;
-
-  /// The ECND_MANIFEST path, or nullptr when unset.
-  static const char* env_path();
 
  private:
   std::string tool_;
@@ -121,7 +117,6 @@ class RunManifest {
   void write(std::ostream&) const {}
   std::string to_json() const { return {}; }
   bool write_if_requested() const { return false; }
-  static const char* env_path() { return nullptr; }
 };
 
 #endif  // ECND_OBS_DISABLED

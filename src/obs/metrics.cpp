@@ -4,14 +4,17 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>  // environ
 
 #include "core/env_knob.hpp"
 #include "core/json_writer.hpp"
@@ -174,77 +177,6 @@ double bucket_percentile(const std::uint64_t* buckets, std::uint64_t count,
   return static_cast<double>(bucket_lower_edge(kHistogramBuckets - 1));
 }
 
-/// Every export file, named from its knob: a path for ECND_METRICS and
-/// ECND_TRACE, a prefix plus fixed suffixes for the others.
-void export_at_exit() {
-  if (const char* path = std::getenv("ECND_METRICS")) {
-    json::write_file(path, "ECND_METRICS", dump_metrics_json);
-  }
-  if (const char* path = std::getenv("ECND_TRACE")) {
-    json::write_file(path, "ECND_TRACE", write_trace_json);
-  }
-  if (const char* prefix = std::getenv("ECND_FLIGHT")) {
-    const std::string p(prefix);
-    json::write_file(p + ".postcards.json", "ECND_FLIGHT",
-                     write_flight_postcards_json);
-    json::write_file(p + ".timeline.json", "ECND_FLIGHT",
-                     write_flight_timeline_json);
-    json::write_file(p + ".pausetree.json", "ECND_FLIGHT",
-                     write_flight_pausetree_json);
-  }
-  if (const char* prefix = std::getenv("ECND_METRICS_TS")) {
-    json::write_file(std::string(prefix) + ".metrics_ts.json",
-                     "ECND_METRICS_TS", write_metrics_ts_json);
-  }
-  if (const char* prefix = std::getenv("ECND_PROF")) {
-    const bool wall = std::getenv("ECND_PROF_WALL") != nullptr;
-    json::write_file(std::string(prefix) + ".prof.folded", "ECND_PROF",
-                     [wall](std::ostream& out) {
-                       write_profile_folded(out, wall);
-                     });
-  }
-  if (std::getenv("ECND_OBS_SUMMARY")) print_summary(std::cerr);
-}
-
-/// Reads the env knobs once at startup and registers the exit hook when any
-/// consumer is armed. Construction order vs other statics does not matter:
-/// the registry is lazily created and atexit may be called at any time.
-struct EnvInit {
-  EnvInit() {
-    // ECND_MANIFEST arms counting too: the manifest embeds a digest of the
-    // metrics registry, which is only meaningful if the run counted.
-    // ECND_METRICS_TS likewise: the sampler records shard counts, so a run
-    // that does not count has nothing to snapshot.
-    const bool snapshot = std::getenv("ECND_METRICS_TS") != nullptr;
-    const bool metrics = std::getenv("ECND_METRICS") ||
-                         std::getenv("ECND_OBS_SUMMARY") ||
-                         std::getenv("ECND_MANIFEST") || snapshot;
-    const bool trace = std::getenv("ECND_TRACE") != nullptr;
-    const bool flight = std::getenv("ECND_FLIGHT") != nullptr;
-    const bool prof = std::getenv("ECND_PROF") != nullptr;
-    if (metrics || trace || flight || prof) {
-      detail::g_metrics_on.store(true, std::memory_order_relaxed);
-      std::atexit(export_at_exit);
-    }
-    if (trace) detail::g_trace_on.store(true, std::memory_order_relaxed);
-    if (flight) detail::g_flight_on.store(true, std::memory_order_relaxed);
-    if (snapshot) {
-      detail::g_snapshot_on.store(true, std::memory_order_relaxed);
-    }
-    if (prof) detail::g_prof_on.store(true, std::memory_order_relaxed);
-    if (const auto cap = env::count("ECND_TRACE_CAP")) {
-      set_trace_capacity(*cap);
-    }
-    if (const auto interval = env::positive("ECND_METRICS_TS_INTERVAL")) {
-      set_snapshot_interval(*interval);
-    }
-    if (const auto sample = env::count("ECND_FLIGHT_SAMPLE")) {
-      set_flight_sample(*sample);
-    }
-  }
-};
-const EnvInit g_env_init;
-
 /// Interned-string table (leaked; std::set nodes give stable addresses).
 std::mutex g_intern_mutex;
 std::set<std::string>& intern_table() {
@@ -390,7 +322,7 @@ void print_summary(std::ostream& out) {
   std::map<std::string, const MetricInfo*> by_name;
   for (const MetricInfo& m : metrics) by_name[m.name] = &m;
 
-  out << "\n== ecnd observability summary ==\n";
+  out << "== ecnd observability summary ==\n";
   out << "-- counters / gauges --\n";
   for (const auto& [name, m] : by_name) {
     if (m->kind == Kind::kHistogram) continue;
@@ -429,6 +361,81 @@ void reset() {
   detail::flight_reset();
   detail::snapshot_reset();
   detail::prof_reset();
+}
+
+namespace {
+
+// The run directory: ECND_RUN_DIR and ECND_RUN_DETAIL are read once, before
+// main(); only export_at_exit and RunManifest (through run_file) write there.
+using env::RunDetail;
+
+const char* g_run_dir = nullptr;  // points into environ; null while idle
+RunDetail g_run_detail = RunDetail::kBasic;
+
+/// Write `name` in the run directory.
+template <typename Writer>
+void write_run_file(const char* name, Writer&& writer) {
+  json::write_file(run_file(name), "ECND_RUN_DIR", writer);
+}
+
+/// Every export the level recorded, each under its fixed name.
+void export_at_exit() {
+  write_run_file("metrics.json", dump_metrics_json);
+  if (g_run_detail >= RunDetail::kTrace) {
+    write_run_file("trace.json", write_trace_json);
+  }
+  if (g_run_detail >= RunDetail::kFlight) {
+    write_run_file("flight.postcards.json", write_flight_postcards_json);
+    write_run_file("flight.timeline.json", write_flight_timeline_json);
+    write_run_file("flight.pausetree.json", write_flight_pausetree_json);
+  }
+  write_run_file("metrics_ts.json", write_metrics_ts_json);
+  if (g_run_detail >= RunDetail::kProf) {
+    write_run_file("profile.folded",
+                   [](std::ostream& out) { write_profile_folded(out, false); });
+    write_run_file("profile.wall.folded",
+                   [](std::ostream& out) { write_profile_folded(out, true); });
+  }
+  write_run_file("summary.txt", print_summary);
+}
+
+/// Reports unknown ECND_* knobs, then arms the run directory if one is set
+/// and can be created. Construction order vs other statics does not matter:
+/// the registry is lazily created and atexit may be called at any time.
+struct RunDirInit {
+  RunDirInit() {
+    env::warn_unknown_knobs(environ);
+    const char* dir = std::getenv("ECND_RUN_DIR");
+    const RunDetail level =
+        env::parse_detail(dir, std::getenv("ECND_RUN_DETAIL"));
+    if (dir == nullptr) return;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "[obs] cannot create ECND_RUN_DIR path %s: %s\n",
+                   dir, ec.message().c_str());
+      return;
+    }
+    g_run_dir = dir;
+    g_run_detail = level;
+    // Every level counts and samples: the manifest embeds a digest of the
+    // metrics registry, and the sampler records shard counts.
+    constexpr auto relaxed = std::memory_order_relaxed;
+    detail::g_metrics_on.store(true, relaxed);
+    detail::g_snapshot_on.store(true, relaxed);
+    detail::g_trace_on.store(level >= RunDetail::kTrace, relaxed);
+    detail::g_flight_on.store(level >= RunDetail::kFlight, relaxed);
+    detail::g_prof_on.store(level >= RunDetail::kProf, relaxed);
+    std::atexit(export_at_exit);
+  }
+};
+const RunDirInit g_run_dir_init;
+
+}  // namespace
+
+std::string run_file(std::string_view name) {
+  return g_run_dir == nullptr ? std::string()
+                              : std::string(g_run_dir) + "/" + std::string(name);
 }
 
 #else  // ECND_OBS_DISABLED

@@ -23,9 +23,9 @@
 // ECND_OBS_DISABLED and every entry point below collapses to an inline no-op
 // (call sites stay unconditional; the optimizer erases them).
 //
-// Runtime knobs: ECND_METRICS=<path> dumps the JSON at process exit,
-// ECND_OBS_SUMMARY=1 prints a human summary table to stderr at exit, and
-// either knob (or set_metrics_enabled(true)) arms the hot-path increments.
+// Runtime: a run directory (run_file below) or set_metrics_enabled(true)
+// arms the hot-path increments; the directory gets metrics.json and
+// summary.txt.
 
 #include <atomic>
 #include <cstddef>
@@ -168,8 +168,13 @@ std::optional<double> histogram_percentile(std::string_view name, double q);
 void dump_metrics_json(std::ostream& out);
 
 /// Human-readable end-of-run table (counters, gauges, histograms with
-/// count/mean/p50/p99).
+/// count/mean/p50/p99): the run directory's summary.txt.
 void print_summary(std::ostream& out);
+
+/// `<dir>/<name>` in the run directory, or "" when none is armed. Before
+/// main(), ECND_RUN_DIR=<dir> creates <dir> and arms the recorders that
+/// ECND_RUN_DETAIL selects; their exports land in <dir> at exit.
+std::string run_file(std::string_view name);
 
 #else  // ECND_OBS_DISABLED: every entry point is an inline no-op.
 

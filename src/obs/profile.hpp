@@ -1,19 +1,19 @@
 #pragma once
 // Hierarchical wall-clock profiler — the only place wall-clock time lives in
 // the observability layer. Every ProfScope pushes a frame onto a TLS stack
-// while the profiler is armed (ECND_PROF=<prefix>). Nested scopes form a call
-// tree per thread — node = (parent, name), with hit count and total ns —
-// merged across threads by name path at export and written as
-// <prefix>.prof.folded, one "a;b;c value" line per stack, ready for
-// flamegraph.pl / speedscope. The engines' top-level frames are sim.run
+// while the profiler is armed (ECND_RUN_DETAIL=prof). Nested scopes form a
+// call tree per thread — node = (parent, name), with hit count and total
+// ns — merged across threads by name path at export and written into the
+// run directory, one "a;b;c value" line per stack, ready for flamegraph.pl /
+// speedscope. The engines' top-level frames are sim.run
 // (Simulator::run_until / run_all), fluid.run (DdeSolver::run_until) and
-// par.sweep / par.task (the sweep engine); their ECND_PROF_WALL=1 totals
+// par.sweep / par.task (the sweep engine); their profile.wall.folded totals
 // are the per-region wall times.
 //
-// Determinism: the folded value is the HIT COUNT by default — a pure
-// function of the scenario, so the file is byte-identical at any
-// ECND_THREADS. ECND_PROF_WALL=1 switches the value to self-nanoseconds
-// (what flamegraphs usually want; inherently run-specific). Frames that
+// Determinism: profile.folded carries HIT COUNTS — a pure function of the
+// scenario, so the file is byte-identical at any ECND_THREADS.
+// profile.wall.folded carries self-nanoseconds (what flamegraphs usually
+// want; inherently run-specific). Frames that
 // must not inherit their caller's stack (a sweep task timed from whichever
 // worker picked it up) pass Anchor::kDetached and anchor at the root, so
 // the tree shape never depends on the schedule.
@@ -73,7 +73,8 @@ inline bool profile_enabled() {
   return detail::g_prof_on.load(std::memory_order_relaxed);
 }
 
-/// Programmatic override (tests). ECND_PROF arms this at startup.
+/// Programmatic override (tests). ECND_RUN_DETAIL=prof arms this at
+/// startup.
 void set_profile_enabled(bool on);
 
 /// One profiled region: a named frame under the caller's (or, detached,

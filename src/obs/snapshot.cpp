@@ -166,6 +166,17 @@ void snapshot_sample(double t_s) {
   kSnapSamples.add();
 }
 
+// Credited here, not at the thread's next sample: a later sweep's task k
+// samples on top of this carry, and the next sample would also fold in the
+// setup counts of whichever task the schedule gave the thread next.
+void snapshot_task_end() {
+  SnapStore::instance().end_task([](TaskSnap& b) {
+    refresh_layout();
+    fold_shard_into(b);
+    merge_and_zero_calling_thread();
+  });
+}
+
 // Thread-local layouts stay: the registry survives reset().
 void snapshot_reset() { SnapStore::instance().clear(); }
 

@@ -13,6 +13,8 @@
 //     totals unchanged), so subsequent shard reads are the task's own counts
 //     — a pure function of the scenario, never of ECND_THREADS or the
 //     schedule. A task's series covers its first-tick..last-tick window.
+//     When a later sweep reuses the index, its samples add to what the
+//     earlier task accrued from its first tick to its TaskScope's end.
 //   * Sample instants are sim-time threshold crossings (t >= next multiple
 //     of the interval), evaluated against the engine-reported sim clock —
 //     identical in every schedule.
@@ -26,19 +28,17 @@
 // run_one, DdeSolver::run_until); when the sampler is idle a tick costs one
 // relaxed atomic load.
 //
-// Runtime knobs: ECND_METRICS_TS=<prefix> arms the sampler (and metric
-// counting) and writes <prefix>.metrics_ts.json at process exit;
-// ECND_METRICS_TS_INTERVAL=<seconds> sets the sampling interval (default
-// 1 ms of sim time). Compile-time: -DECND_OBS=OFF no-ops everything here and
-// writes no files.
+// Runtime: a run directory (ECND_RUN_DIR) arms the sampler and gets
+// metrics_ts.json at exit. Compile-time: -DECND_OBS=OFF no-ops everything
+// here and writes no files.
 
 #include <atomic>
 #include <iosfwd>
 
 namespace ecnd::obs {
 
-/// Default sampling interval in sim seconds when ECND_METRICS_TS_INTERVAL is
-/// unset: 1 ms — hundreds of samples over a typical figure horizon.
+/// Default sampling interval in sim seconds: 1 ms — hundreds of samples over
+/// a typical figure horizon.
 inline constexpr double kDefaultSnapshotInterval = 1e-3;
 
 #if !defined(ECND_OBS_DISABLED)
@@ -46,6 +46,8 @@ inline constexpr double kDefaultSnapshotInterval = 1e-3;
 namespace detail {
 extern std::atomic<bool> g_snapshot_on;
 void snapshot_sample(double t_s);
+/// TaskScope end: credit the task with its shard counts, zero the shard.
+void snapshot_task_end();
 /// Drop every buffer (obs::reset's snapshot half).
 void snapshot_reset();
 }  // namespace detail
@@ -54,7 +56,7 @@ inline bool snapshot_enabled() {
   return detail::g_snapshot_on.load(std::memory_order_relaxed);
 }
 
-/// Programmatic override (tests). ECND_METRICS_TS arms this at startup.
+/// Programmatic override (tests). A run directory arms this at startup.
 /// Enabling also arms metric counting (the sampler records shard counts).
 void set_snapshot_enabled(bool on);
 

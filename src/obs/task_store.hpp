@@ -52,6 +52,18 @@ class TaskStore {
     return current([](Buffer*) {});
   }
 
+  /// The calling thread leaves its task: hand the task's cached buffer to
+  /// `on_end` and forget it, so the next record switches with no `prev`.
+  template <typename OnEnd>
+  void end_task(OnEnd&& on_end) {
+    Cache& c = cache();
+    if (c.buffer != nullptr && c.task == current_task() &&
+        c.gen == generation_.load(std::memory_order_relaxed)) {
+      on_end(*c.buffer);
+      c = {};
+    }
+  }
+
   /// Capacity handed to buffers created after the call (clamped to >= 1).
   void set_capacity(std::size_t cap) {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/json_writer.hpp"
+#include "obs/snapshot.hpp"
 #include "obs/task_store.hpp"
 
 namespace ecnd::obs {
@@ -87,7 +88,10 @@ void set_trace_capacity(std::size_t events) {
 
 TaskScope::TaskScope(std::uint32_t task) : prev_(t_task) { t_task = task; }
 
-TaskScope::~TaskScope() { t_task = prev_; }
+TaskScope::~TaskScope() {
+  if (snapshot_enabled()) detail::snapshot_task_end();
+  t_task = prev_;
+}
 
 std::uint64_t trace_dropped_total() {
   return TraceStore::instance().dropped_total();

@@ -17,9 +17,10 @@
 // run is usually the interesting part) and counts what it dropped; the count
 // is reported in the export and via trace_dropped_total().
 //
-// Runtime knobs: ECND_TRACE=<path> arms tracing and writes the JSON at
-// process exit; ECND_TRACE_CAP=<n> resizes the per-task ring (default 65536
-// events). Compile-time: -DECND_OBS=OFF no-ops everything here.
+// Runtime: ECND_RUN_DETAIL=trace (or above) arms tracing and writes
+// trace.json into the run directory at process exit; the per-task ring holds
+// 65536 events (set_trace_capacity for tests). Compile-time: -DECND_OBS=OFF
+// no-ops everything here.
 
 #include <atomic>
 #include <cstddef>
@@ -47,7 +48,8 @@ inline bool trace_enabled() {
   return detail::g_trace_on.load(std::memory_order_relaxed);
 }
 
-/// Programmatic override (tests). ECND_TRACE arms this at startup.
+/// Programmatic override (tests). ECND_RUN_DETAIL=trace arms this at
+/// startup.
 void set_trace_enabled(bool on);
 
 /// Per-task ring capacity in events. Applies to buffers created after the

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cli_args.hpp"
 #include "report/diff.hpp"
 
 namespace {
@@ -48,11 +49,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--tolerance") == 0) {
-      char* end = nullptr;
       const char* v = next(i);
-      tolerance = std::strtod(v, &end);
-      if (end == v || *end != '\0' || tolerance < 0.0) {
-        std::fprintf(stderr, "ecnd-diff: bad --tolerance \"%s\"\n", v);
+      if (!ecnd::cli::parse_double(v, tolerance) || tolerance < 0.0) {
+        std::fprintf(stderr,
+                     "ecnd-diff: bad --tolerance \"%s\": expected a finite "
+                     "number >= 0\n",
+                     v);
+        usage();
         return 2;
       }
     } else if (std::strcmp(arg, "--out") == 0) {

@@ -3,17 +3,16 @@
 //
 // Usage:
 //   ecnd-report --expectations bench/expectations.json
-//               --manifest-dir build/manifests
-//               [--manifest path.json ...]
+//               [--manifest run/manifest.json ...]
 //               [--bench-baseline BENCH_obs.json]
 //               [--bench-current current.json]
 //               [--out report.md] [--strict-perf]
 //
-// Exit status: 0 all expectations pass (warnings allowed), 1 any FAIL,
-// 2 usage / I/O / parse error.
+// Every --manifest must be an ecnd-manifest-v1 file and both bench files
+// ecnd-bench-v2. Exit status: 0 all expectations pass (warnings allowed),
+// 1 any FAIL, 2 usage / I/O / parse / schema error (with the usage line).
 
-#include <algorithm>
-#include <filesystem>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -23,14 +22,13 @@
 #include "report/json.hpp"
 #include "report/report.hpp"
 
-namespace fs = std::filesystem;
 using ecnd::report::Json;
 
 namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " --expectations FILE [--manifest-dir DIR] [--manifest FILE]...\n"
+            << " --expectations FILE [--manifest FILE]...\n"
                "       [--bench-baseline FILE] [--bench-current FILE]\n"
                "       [--out FILE] [--strict-perf]\n";
   return 2;
@@ -40,7 +38,6 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   std::string expectations_path;
-  std::string manifest_dir;
   std::vector<std::string> manifest_paths;
   std::string bench_baseline_path;
   std::string bench_current_path;
@@ -52,14 +49,12 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::cerr << "ecnd-report: " << arg << " needs an argument\n";
-        std::exit(2);
+        std::exit(usage(argv[0]));
       }
       return argv[++i];
     };
     if (arg == "--expectations") {
       expectations_path = next();
-    } else if (arg == "--manifest-dir") {
-      manifest_dir = next();
     } else if (arg == "--manifest") {
       manifest_paths.push_back(next());
     } else if (arg == "--bench-baseline") {
@@ -88,33 +83,17 @@ int main(int argc, char** argv) {
     if (!schema || *schema != "ecnd-expectations-v1") {
       std::cerr << "ecnd-report: " << expectations_path
                 << ": expected schema ecnd-expectations-v1\n";
-      return 2;
-    }
-
-    // Enumerate manifests: explicit --manifest paths plus every *.json in
-    // --manifest-dir, in sorted order so the report is deterministic.
-    if (!manifest_dir.empty()) {
-      std::vector<std::string> found;
-      if (fs::is_directory(manifest_dir)) {
-        for (const auto& entry : fs::directory_iterator(manifest_dir)) {
-          if (entry.is_regular_file() &&
-              entry.path().extension() == ".json") {
-            found.push_back(entry.path().string());
-          }
-        }
-      }
-      std::sort(found.begin(), found.end());
-      manifest_paths.insert(manifest_paths.end(), found.begin(), found.end());
+      return usage(argv[0]);
     }
 
     std::vector<Json> manifests;
-    int skipped = 0;
     for (const std::string& path : manifest_paths) {
       Json m = Json::parse_file(path);
       const auto mschema = m.get_string("schema");
       if (!mschema || *mschema != "ecnd-manifest-v1") {
-        ++skipped;  // unrelated JSON in the directory — not an error
-        continue;
+        std::cerr << "ecnd-report: " << path
+                  << ": expected schema ecnd-manifest-v1\n";
+        return usage(argv[0]);
       }
       manifests.push_back(std::move(m));
     }
@@ -133,7 +112,6 @@ int main(int argc, char** argv) {
     std::ostringstream meta;
     meta << "expectations: " << expectations_path << " · manifests: "
          << manifests.size();
-    if (skipped > 0) meta << " (" << skipped << " non-manifest JSON skipped)";
     if (have_baseline) meta << " · perf baseline: " << bench_baseline_path;
     if (strict_perf) meta << " · strict-perf";
 
@@ -143,7 +121,7 @@ int main(int argc, char** argv) {
       std::ofstream out(out_path);
       if (!out) {
         std::cerr << "ecnd-report: cannot write " << out_path << "\n";
-        return 2;
+        return usage(argv[0]);
       }
       ecnd::report::write_markdown(report, meta.str(), out);
       std::cerr << "ecnd-report: wrote " << out_path << " ("
@@ -154,6 +132,6 @@ int main(int argc, char** argv) {
     return report.ok() ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "ecnd-report: " << e.what() << "\n";
-    return 2;
+    return usage(argv[0]);
   }
 }

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
+#include <stdexcept>
 
 namespace ecnd::report {
 
@@ -109,56 +110,40 @@ Finding check_observable(const std::string& tool, const std::string& name,
   return f;
 }
 
-/// Baseline entry -> (value, tolerance); handles v2 objects and v1 numbers.
-bool baseline_entry(const Json& entry, double default_tolerance, double* value,
-                    double* tolerance) {
-  if (entry.is_number()) {
-    *value = entry.number();
-    *tolerance = default_tolerance;
-    return true;
+/// The "metrics" object of an ecnd-bench-v2 file; throws on any other form.
+const Json& bench_metrics(const Json& bench, const char* role) {
+  const auto schema = bench.get_string("schema");
+  const Json* metrics = bench.get("metrics");
+  if (!schema || *schema != "ecnd-bench-v2" || metrics == nullptr ||
+      !metrics->is_object()) {
+    throw std::runtime_error(std::string("perf ") + role +
+                             ": expected schema ecnd-bench-v2 with a metrics "
+                             "object");
   }
-  if (entry.is_object()) {
-    const std::optional<double> v = entry.get_number("value");
-    if (!v) return false;
-    *value = *v;
-    *tolerance = entry.get_number("tolerance").value_or(default_tolerance);
-    return true;
-  }
-  return false;
+  return *metrics;
 }
 
 void perf_section(const Json& baseline, const Json* current, bool strict_perf,
                   double default_tolerance, Report* report) {
-  const Json* metrics = baseline.get("metrics");
-  const Json& base_map = metrics != nullptr ? *metrics : baseline;
-  if (!base_map.is_object()) return;
-  for (const auto& [name, entry] : base_map.object()) {
-    // v1 flat form carries its schema tag alongside the metrics.
-    if (name == "schema" || name == "git_sha" || name == "machine") continue;
-    double base = 0.0, tol = default_tolerance;
-    if (!baseline_entry(entry, default_tolerance, &base, &tol)) continue;
+  const Json* cur_map =
+      current != nullptr ? &bench_metrics(*current, "current") : nullptr;
+  for (const auto& [name, entry] : bench_metrics(baseline, "baseline").object()) {
+    const std::optional<double> base = entry.get_number("value");
+    if (!base) continue;
+    const double tol = entry.get_number("tolerance").value_or(default_tolerance);
 
     Finding f;
     f.tool = "perf";
     f.name = name;
     char expected[96];
-    std::snprintf(expected, sizeof(expected), "%.6g ± %.0f%%", base,
+    std::snprintf(expected, sizeof(expected), "%.6g ± %.0f%%", *base,
                   tol * 100.0);
     f.expected = expected;
 
     std::optional<double> cur;
-    if (current != nullptr) {
-      const Json* cm = current->get("metrics");
-      const Json& cur_map = cm != nullptr ? *cm : *current;
-      if (cur_map.is_object()) {
-        if (const Json* c = cur_map.get(name); c != nullptr) {
-          double cv = 0.0, unused = 0.0;
-          if (baseline_entry(*c, default_tolerance, &cv, &unused)) {
-            f.value = cv;
-            cur = cv;
-          }
-        }
-      }
+    if (const Json* c = cur_map != nullptr ? cur_map->get(name) : nullptr) {
+      cur = c->get_number("value");
+      f.value = cur;
     }
     if (!cur) {
       f.status = Status::kWarn;
@@ -167,7 +152,7 @@ void perf_section(const Json& baseline, const Json* current, bool strict_perf,
       report->perf.push_back(f);
       continue;
     }
-    const double ratio = base != 0.0 ? *cur / base : 0.0;
+    const double ratio = *base != 0.0 ? *cur / *base : 0.0;
     char note[96];
     std::snprintf(note, sizeof(note), "current/baseline = %.2f", ratio);
     f.note = note;
@@ -231,7 +216,7 @@ Report evaluate(const Json& expectations, const std::vector<Json>& manifests,
         f.status = Status::kFail;
         f.expected = "manifest present";
         f.note = "no manifest for this tool — did the harness run with "
-                 "ECND_MANIFEST?";
+                 "ECND_RUN_DIR?";
         report.observables.push_back(std::move(f));
         continue;
       }

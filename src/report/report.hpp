@@ -60,10 +60,10 @@ struct Report {
 };
 
 /// Evaluate expectations against parsed manifests (any JSON without the
-/// manifest schema is ignored with a note finding). bench_baseline /
-/// bench_current may be nullptr to skip the perf section; the baseline
-/// accepts both ecnd-bench-v2 ({"metrics": {name: {value, tolerance}}}) and
-/// the legacy v1 flat form (tolerance defaults to `default_tolerance`).
+/// manifest schema is ignored). bench_baseline / bench_current may be
+/// nullptr to skip the perf section; both must be ecnd-bench-v2
+/// ({"metrics": {name: {value, tolerance}}}; a missing tolerance defaults to
+/// `default_tolerance`), anything else throws std::runtime_error.
 Report evaluate(const Json& expectations, const std::vector<Json>& manifests,
                 const Json* bench_baseline, const Json* bench_current,
                 bool strict_perf, double default_tolerance = 0.5);

@@ -30,7 +30,7 @@ namespace {
 
 /// Arm + zero the metrics registry for the duration of one sweep and return
 /// the end-of-sweep JSON dump. Restores the previous enable state so the
-/// suite behaves the same whether or not ECND_METRICS armed it globally.
+/// suite behaves the same whether or not a run directory armed it globally.
 class MetricsCapture {
  public:
   MetricsCapture() : was_enabled_(obs::metrics_enabled()) {

@@ -3,7 +3,7 @@
 // thread count, pause-causality records, keep-first overflow accounting, and
 // the -DECND_OBS=OFF erasure contract. Everything arms the recorder
 // programmatically (set_flight_enabled / set_flight_sample) so the suite
-// behaves the same with or without the ECND_FLIGHT env knobs.
+// behaves the same with or without a run directory (ECND_RUN_DIR).
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,11 @@
-// The shared JSON writer (core/json_writer.hpp) and the checked numeric
-// environment-knob parser (core/env_knob.hpp). Every writer output is
-// round-tripped through report::Json, the repo's one parser.
+// The shared JSON writer (core/json_writer.hpp) and the environment-knob
+// parsers (core/env_knob.hpp). Every writer output is round-tripped through
+// report::Json, the repo's one parser.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -67,6 +68,18 @@ TEST(JsonWriter, WriteFileNamesTheKnobWhenThePathCannotBeOpened) {
   EXPECT_EQ(err, "[obs] cannot open ECND_TEST path /nonexistent-dir/x.json\n");
 }
 
+TEST(JsonWriter, WriteFileReportsAFailedWriteAsFailure) {
+  // /dev/full opens fine and fails every write: the bytes sit in the stream
+  // buffer until the flush, so only a check after flushing can see it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  testing::internal::CaptureStderr();
+  const auto nine_bytes = [](std::ostream& out) { out << "{\"a\": 1}\n"; };
+  const bool ok = json::write_file("/dev/full", "ECND_TEST", nine_bytes);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(err, "[obs] cannot write ECND_TEST path /dev/full\n");
+}
+
 #if !defined(ECND_OBS_DISABLED)
 
 TEST(JsonWriter, FlightPostcardWithNonFiniteMarkProbabilityStaysValidJson) {
@@ -105,19 +118,46 @@ TEST(EnvKnob, CountAcceptsOnlyWholePositiveDigits) {
   }
 }
 
-TEST(EnvKnob, PositiveAcceptsOnlyFiniteNumbersAboveZero) {
+TEST(EnvKnob, RunDetailNamesALevelAndNeedsARunDirectory) {
+  using env::RunDetail;
   testing::internal::CaptureStderr();
-  EXPECT_EQ(env::parse_positive("ECND_TEST", "0.0025").value(), 0.0025);
-  EXPECT_EQ(env::parse_positive("ECND_TEST", "1e-3").value(), 1e-3);
+  EXPECT_EQ(env::parse_detail("d", nullptr), RunDetail::kBasic);
+  EXPECT_EQ(env::parse_detail(nullptr, nullptr), RunDetail::kBasic);
+  EXPECT_EQ(env::parse_detail("d", "basic"), RunDetail::kBasic);
+  EXPECT_EQ(env::parse_detail("d", "trace"), RunDetail::kTrace);
+  EXPECT_EQ(env::parse_detail("d", "flight"), RunDetail::kFlight);
+  EXPECT_EQ(env::parse_detail("d", "prof"), RunDetail::kProf);
   EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 
-  for (const char* bad : {"-1", "abc", "12x", "0", "", "nan", "inf", "-0.5"}) {
+  for (const char* bad : {"", "x", "Prof", "prof ", "3"}) {
     testing::internal::CaptureStderr();
-    EXPECT_FALSE(env::parse_positive("ECND_TEST", bad).has_value()) << bad;
+    EXPECT_EQ(env::parse_detail("d", bad), RunDetail::kBasic) << bad;
     EXPECT_EQ(testing::internal::GetCapturedStderr(),
-              std::string("[env] ignoring ECND_TEST=\"") + bad +
-                  "\": expected a finite number > 0\n");
+              std::string("[env] ignoring ECND_RUN_DETAIL=\"") + bad +
+                  "\": expected basic|trace|flight|prof\n");
   }
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(env::parse_detail(nullptr, "prof"), RunDetail::kBasic);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[env] ignoring ECND_RUN_DETAIL=\"prof\": expected ECND_RUN_DIR "
+            "to be set too\n");
+}
+
+TEST(EnvKnob, UnknownKnobsAreReportedByName) {
+  // A knob the tree does not read, such as one from an older shell
+  // (ECND_METRICS), would otherwise silently record nothing.
+  const char* const envp[] = {
+      "ECND_METRICS=m.json", "ECND_RUN_DIR=run", "ECND_RUN_DETAIL=prof",
+      "HOME=/home/x",        "ECND_THREADS=4",   "ECND_FLIGHT_SAMPLE=4",
+      "ECND_QUICK",          "ECND_JOURNAL=j",   "ECND_GIT_SHA=abc",
+      "ECND_BENCH_JSON=b",   "XECND_TRACE=t",    "ECND_RUN_DIRX=1",
+      nullptr};
+  testing::internal::CaptureStderr();
+  env::warn_unknown_knobs(envp);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[env] ignoring unknown knob ECND_METRICS\n"
+            "[env] ignoring unknown knob ECND_FLIGHT_SAMPLE\n"
+            "[env] ignoring unknown knob ECND_RUN_DIRX\n");
 }
 
 }  // namespace

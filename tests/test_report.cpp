@@ -192,15 +192,19 @@ TEST(Evaluate, PerfToleranceWarnsByDefaultFailsWhenStrict) {
   EXPECT_EQ(strict.count(Status::kFail), 1);
 }
 
-TEST(Evaluate, LegacyV1FlatBaselineStillCompares) {
-  const Json baseline = Json::parse(
+TEST(Evaluate, PerfFilesOtherThanBenchV2AreRejected) {
+  // No writer emits the old flat ecnd-bench-v1 form; a perf file in any
+  // form but ecnd-bench-v2 is an error, never a silently empty section.
+  const Json v1 = Json::parse(
       R"({"schema": "ecnd-bench-v1", "ns_per_sim_event": 100.0})");
-  const Json current = Json::parse(
-      R"({"schema": "ecnd-bench-v1", "ns_per_sim_event": 130.0})");
+  const Json v2 = Json::parse(
+      R"({"schema": "ecnd-bench-v2", "metrics": {"x": {"value": 1.0}}})");
   const Json empty_exp = Json::parse(R"({"schema": "ecnd-expectations-v1"})");
-  const Report r = evaluate(empty_exp, {}, &baseline, &current, false, 0.5);
-  ASSERT_EQ(r.perf.size(), 1u);
-  EXPECT_EQ(r.perf[0].status, Status::kPass);  // 1.3x within default 50%
+  EXPECT_THROW(evaluate(empty_exp, {}, &v1, &v2, false), std::runtime_error);
+  EXPECT_THROW(evaluate(empty_exp, {}, &v2, &v1, false), std::runtime_error);
+  EXPECT_THROW(evaluate(empty_exp, {}, &v1, nullptr, false),
+               std::runtime_error);
+  EXPECT_EQ(evaluate(empty_exp, {}, &v2, &v2, false).perf.size(), 1u);
 }
 
 TEST(WriteMarkdown, VerdictLineMatchesReport) {

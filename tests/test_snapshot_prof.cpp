@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -55,25 +56,31 @@ TEST_F(SnapProfFixture, SnapshotExportIdenticalAcrossThreadCounts) {
   const obs::Counter c = obs::counter("test.snap.work");
   obs::set_snapshot_enabled(true);
   obs::set_snapshot_interval(1e-3);
-  // Each sweep task replays the same little sim: counts between ticks at
-  // 0, 1, 2, 3 ms of (fake) sim time. The series must come out a function of
-  // the task index alone, whatever worker ran it.
+  // Each sweep task counts its setup, then replays the same little sim:
+  // counts between ticks at 0, 1, 2, 3 ms of (fake) sim time. The series
+  // must come out a function of the task index alone, whatever worker ran
+  // it, also when a second sweep reuses the indices (as bench_ext_fabric's
+  // three sweeps do) and samples on top of the first sweep's task.
   auto run = [&](std::size_t threads) {
     obs::reset();
-    par::parallel_for_each(
-        8,
-        [&](std::size_t i) {
-          for (int step = 0; step < 4; ++step) {
-            c.add(i + 1);
-            obs::snapshot_tick(step * 1e-3);
-          }
-        },
-        threads);
+    for (std::uint64_t sweep = 1; sweep <= 2; ++sweep) {
+      par::parallel_for_each(
+          8,
+          [&](std::size_t i) {
+            c.add(1000 * sweep * (i + 1));
+            for (int step = 0; step < 4; ++step) {
+              c.add(i + 1);
+              obs::snapshot_tick(step * 1e-3);
+            }
+          },
+          threads);
+    }
     return metrics_ts_json();
   };
   const std::string serial = run(1);
-  const std::string threaded = run(4);
-  EXPECT_EQ(serial, threaded);
+  for (const std::size_t threads : {2, 3, 4, 8, 2, 3, 4, 8}) {
+    EXPECT_EQ(serial, run(threads)) << threads << " threads";
+  }
   EXPECT_NE(serial.find("ecnd-metrics-ts-v1"), std::string::npos) << serial;
   EXPECT_NE(serial.find("test.snap.work"), std::string::npos) << serial;
   // Counters export both the cumulative column and the per-interval rate.
