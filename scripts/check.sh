@@ -22,19 +22,13 @@
 # and stdout untouched by the recorders, and gates the manifests against
 # bench/expectations.json via ecnd-report.
 #
-# --perf re-measures the engine hot loops (bench_micro_perf's dedicated
-# baseline timing loops, including the 10k-flow ns_per_flow_rhs scaling
-# guard) and gates them against the committed BENCH_obs.json
-# via ecnd-report's perf path with --strict-perf: a regression beyond a
-# metric's recorded tolerance fails the script. The measurement goes through
-# scripts/bench_baseline.sh, so each --perf run also appends one compact JSON
-# line to BENCH_history.jsonl (the trend log `ecnd-diff --bench-history`
-# renders). Wall-clock numbers only mean anything on the machine that
-# produced the baseline — regenerate it with scripts/bench_baseline.sh when
-# moving boxes. It then runs each perfbench workload for 3 s at seed 1 and
-# fails unless every result line reports "correct": true — at seed 1 that
-# includes every output matching perfbench/reference.json bit for bit, so
-# output bit-identity is a mechanical gate.
+# --perf compares the working tree against its merge base with main through
+# scripts/ab.py: per perfbench workload, 10 interleaved pairs of runs plus
+# one traced run per side, all at seed 1, so every run also checks its
+# outputs against perfbench/reference.json bit for bit. It fails on a
+# regression beyond a BENCHMARK.json bound or on a run that is not correct.
+# On main the base is HEAD, so it measures uncommitted edits. The mode takes
+# at least 37 minutes: 88 runs of 25 s.
 #
 # --resume-smoke exercises the crash-resume path end to end: run a journaled
 # sweep (bench_fig14 with ECND_JOURNAL), SIGKILL it mid-flight, re-run with
@@ -232,14 +226,6 @@ report() {
   build/bench/bench_fig02_dcqcn_validation > "$tmp/fig02_idle.csv" 2>/dev/null
   cmp "$tmp/out1/fig02.csv" "$tmp/fig02_idle.csv"
 
-  # A fresh perf measurement turns the perf rows into real
-  # current-vs-baseline comparisons instead of "no current measurement" warns.
-  echo "-- measuring current perf (bench_micro_perf baseline loops)"
-  ECND_BENCH_JSON="$tmp/bench_current.json" \
-    build/bench/bench_micro_perf --benchmark_filter='^$' > /dev/null 2>&1 || true
-  python3 -c "import json,sys; json.load(open(sys.argv[1]))" \
-    "$tmp/bench_current.json"
-
   echo "-- ecnd-report gate (bench/expectations.json)"
   for entry in "${quick_set[@]}"; do
     manifests+=(--manifest "$tmp/run1/${entry%% *}/manifest.json")
@@ -247,47 +233,13 @@ report() {
   build/src/report/ecnd-report \
     --expectations bench/expectations.json \
     "${manifests[@]}" \
-    --bench-baseline BENCH_obs.json \
-    --bench-current "$tmp/bench_current.json" \
     --out REPORT.md
   echo "report: wrote REPORT.md"
 }
 
 perf_gate() {
-  echo "== perf gate (bench_micro_perf vs committed BENCH_obs.json) =="
-  build_suite build
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
-
-  echo "-- measuring current tree (bench_baseline.sh -> BENCH_history.jsonl)"
-  scripts/bench_baseline.sh "$tmp/current.json"
-
-  # Perf-only gate: no observable expectations, just the bench comparison.
-  printf '{"schema": "ecnd-expectations-v1", "tools": {}}\n' \
-    > "$tmp/perf_only_expectations.json"
-
-  echo "-- ecnd-report --strict-perf (tolerance from BENCH_obs.json)"
-  build/src/report/ecnd-report \
-    --expectations "$tmp/perf_only_expectations.json" \
-    --bench-baseline BENCH_obs.json \
-    --bench-current "$tmp/current.json" \
-    --strict-perf
-  echo "perf gate: within baseline tolerance"
-
-  echo "-- perfbench outputs vs perfbench/reference.json (seed 1, 3 s each)"
-  for w in fct_dumbbell fabric_shuffle fluid_many_flows paper_sweep; do
-    line="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 3 \
-      --trace 0 2> "$tmp/perfbench_$w.err" | tail -n 1)" || true
-    if ! python3 -c 'import json, sys
-sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
-        "$line" 2> /dev/null; then
-      echo "ERROR: perfbench $w is not correct: ${line:-no result line}" >&2
-      tail -n 20 "$tmp/perfbench_$w.err" >&2
-      exit 1
-    fi
-    echo "   $w: correct"
-  done
-  echo "perf gate: perfbench outputs bit-identical to the reference"
+  echo "== perf gate (scripts/ab.py against the merge base with main) =="
+  scripts/ab.py "$(git merge-base HEAD main)"
 }
 
 resume_smoke() {

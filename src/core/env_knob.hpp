@@ -24,8 +24,8 @@ namespace ecnd::env {
 /// Every ECND_* variable the tree reads. Any other one that is set is
 /// reported at startup, so a misspelt or retired knob is not silently a no-op.
 inline constexpr std::string_view kKnobs[] = {
-    "ECND_RUN_DIR", "ECND_RUN_DETAIL", "ECND_THREADS",   "ECND_QUICK",
-    "ECND_JOURNAL", "ECND_GIT_SHA",    "ECND_BENCH_JSON"};
+    "ECND_RUN_DIR", "ECND_RUN_DETAIL", "ECND_THREADS",
+    "ECND_QUICK",   "ECND_JOURNAL",    "ECND_GIT_SHA"};
 
 inline void warn_ignored(const char* knob, const char* value,
                          const char* expected) {

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -57,7 +56,7 @@ char first_glyph(const std::string& text) {
 
 struct LoadedArtifact {
   std::string kind;
-  std::string text;    // raw bytes (journal / history)
+  std::string text;    // raw bytes (journal)
   Json json;           // parsed document (JSON kinds)
 };
 
@@ -65,7 +64,6 @@ std::string kind_from_schema(const std::string& schema) {
   if (schema == "ecnd-manifest-v1") return "manifest";
   if (schema == "ecnd-metrics-v1") return "metrics";
   if (schema == "ecnd-metrics-ts-v1") return "metrics_ts";
-  if (schema == "ecnd-bench-v2") return "bench";
   throw std::runtime_error("unrecognized schema \"" + schema + "\"");
 }
 
@@ -79,23 +77,7 @@ LoadedArtifact load_artifact(const std::string& path) {
   if (first_glyph(art.text) != '{') {
     throw std::runtime_error(path + ": neither JSON nor an ecnd1 journal");
   }
-  // bench_history is JSONL: the first line is a complete object. Try the
-  // whole document first; fall back to per-line parsing.
-  try {
-    art.json = Json::parse(art.text);
-  } catch (const std::runtime_error&) {
-    std::istringstream lines(art.text);
-    std::string line;
-    if (std::getline(lines, line)) {
-      const Json first = Json::parse(line);  // rethrows with position on junk
-      if (first.get_string("schema").value_or("") == "ecnd-bench-v2") {
-        art.kind = "bench_history";
-        return art;
-      }
-    }
-    throw std::runtime_error(path + ": not a single JSON document and not " +
-                             "a bench-history JSONL");
-  }
+  art.json = Json::parse(art.text);
   const auto schema = art.json.get_string("schema");
   if (!schema) throw std::runtime_error(path + ": no \"schema\" field");
   art.kind = kind_from_schema(*schema);
@@ -379,54 +361,6 @@ void diff_metrics_ts(DiffResult& out, const Json& a, const Json& b) {
   }
 }
 
-// -- bench ------------------------------------------------------------------
-
-std::string bench_descriptor(const Json& doc) {
-  std::string desc = doc.get_string("git_sha").value_or("unknown");
-  if (const Json* machine = doc.get("machine")) {
-    desc += " (" + machine->get_string("arch").value_or("?") + ", " +
-            format_value(machine->get_number("hw_threads").value_or(0)) +
-            " hw threads)";
-  }
-  return desc;
-}
-
-void diff_bench(DiffResult& out, const Json& a, const Json& b) {
-  out.context.push_back("A: " + bench_descriptor(a));
-  out.context.push_back("B: " + bench_descriptor(b));
-  const Json* ma = a.get("metrics");
-  const Json* mb = b.get("metrics");
-  const Json::Object empty;
-  const Json::Object& oa = ma != nullptr && ma->is_object() ? ma->object() : empty;
-  const Json::Object& ob = mb != nullptr && mb->is_object() ? mb->object() : empty;
-  for (const auto& [key, va] : oa) {
-    const auto it = ob.find(key);
-    if (it == ob.end()) {
-      add_structural(out, key, "present", "—", "metric only in A");
-      continue;
-    }
-    const double xa = va.get_number("value").value_or(0.0);
-    const double xb = it->second.get_number("value").value_or(0.0);
-    if (xa == xb) continue;
-    // The baseline's own tolerance decides pass/fail framing; --tolerance
-    // still suppresses below-threshold rows entirely.
-    const double tol = va.get_number("tolerance").value_or(0.0);
-    const double rel = rel_change(xa, xb);
-    const char* verdict =
-        rel <= tol ? "within baseline tolerance" : "EXCEEDS baseline tolerance";
-    add_numeric(out, key, xa, xb,
-                format_pct((xb - xa) / std::max({std::fabs(xa), std::fabs(xb),
-                                                 1e-300})) +
-                    std::string(" — ") + verdict + " (" +
-                    format_value(tol * 100.0) + "%)");
-  }
-  for (const auto& [key, vb] : ob) {
-    if (oa.find(key) == oa.end()) {
-      add_structural(out, key, "—", "present", "metric only in B");
-    }
-  }
-}
-
 // -- journal ----------------------------------------------------------------
 
 struct JournalCell {
@@ -525,13 +459,8 @@ DiffResult diff_artifacts(const std::string& path_a, const std::string& path_b,
     diff_manifest(out, a.json, b.json);
   } else if (a.kind == "metrics") {
     diff_metrics(out, a.json, b.json);
-  } else if (a.kind == "metrics_ts") {
-    diff_metrics_ts(out, a.json, b.json);
-  } else if (a.kind == "bench") {
-    diff_bench(out, a.json, b.json);
   } else {
-    throw std::runtime_error("cannot diff artifacts of kind \"" + a.kind +
-                             "\" (use --bench-history for history files)");
+    diff_metrics_ts(out, a.json, b.json);
   }
   rank_entries(out);
   return out;
@@ -569,81 +498,6 @@ void write_markdown(std::ostream& out, const DiffResult& result) {
       << (result.severity() == DiffSeverity::kStructural ? "structural"
                                                          : "drift")
       << ".\n";
-}
-
-void write_bench_history_markdown(std::ostream& out, const std::string& path) {
-  const std::string text = read_file(path);
-  std::istringstream lines(text);
-  std::string line;
-  struct Entry {
-    std::string sha;
-    std::string machine;
-    std::map<std::string, double> values;
-  };
-  std::vector<Entry> entries;
-  std::uint64_t skipped = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    Json doc;
-    try {
-      doc = Json::parse(line);
-    } catch (const std::runtime_error&) {
-      ++skipped;  // torn tail: same discipline as the sweep journal loader
-      continue;
-    }
-    if (doc.get_string("schema").value_or("") != "ecnd-bench-v2") {
-      ++skipped;
-      continue;
-    }
-    Entry e;
-    e.sha = doc.get_string("git_sha").value_or("unknown");
-    if (const Json* machine = doc.get("machine")) {
-      e.machine = machine->get_string("arch").value_or("?") + "/" +
-                  format_value(machine->get_number("hw_threads").value_or(0)) +
-                  "t";
-    }
-    if (const Json* metrics = doc.get("metrics")) {
-      if (metrics->is_object()) {
-        for (const auto& [name, m] : metrics->object()) {
-          if (const auto v = m.get_number("value")) e.values[name] = *v;
-        }
-      }
-    }
-    entries.push_back(std::move(e));
-  }
-  out << "# ecnd-diff: bench history (`" << path << "`)\n\n";
-  out << "- " << entries.size() << " entries";
-  if (skipped > 0) out << ", " << skipped << " unparseable line(s) skipped";
-  out << "\n\n";
-  if (entries.empty()) return;
-
-  // Union of metric names across all entries, name order.
-  std::map<std::string, char> names;
-  for (const Entry& e : entries) {
-    for (const auto& [name, v] : e.values) names[name] = 0;
-  }
-  for (const auto& [name, unused] : names) {
-    out << "## " << name << "\n\n";
-    out << "| git SHA | machine | value | delta |\n";
-    out << "|---------|---------|-------|-------|\n";
-    std::optional<double> prev;
-    for (const Entry& e : entries) {
-      const auto it = e.values.find(name);
-      if (it == e.values.end()) continue;
-      out << "| " << e.sha << " | " << e.machine << " | "
-          << format_value(it->second) << " | ";
-      if (prev && *prev != 0.0) {
-        out << format_pct((it->second - *prev) /
-                          std::max({std::fabs(*prev), std::fabs(it->second),
-                                    1e-300}));
-      } else {
-        out << "—";
-      }
-      out << " |\n";
-      prev = it->second;
-    }
-    out << "\n";
-  }
 }
 
 }  // namespace ecnd::report

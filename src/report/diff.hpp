@@ -3,20 +3,17 @@
 //
 // Takes two run artifacts of the same kind and reduces "something changed
 // between these runs" to a ranked list of per-key differences. Understands
-// every JSON artifact the tree emits — run manifests (ecnd-manifest-v1),
+// the run artifacts the tree emits — run manifests (ecnd-manifest-v1),
 // metric dumps (ecnd-metrics-v1), sim-time metric snapshots
 // (ecnd-metrics-ts-v1, where a difference localizes to the first divergent
-// sim-timestamp per series), perf baselines (ecnd-bench-v2) — plus the two
-// append-only text formats: sweep journals (core/journal.hpp `ecnd1` lines)
-// and BENCH_history.jsonl (one ecnd-bench-v2 object per line). Unparseable
-// journal/history lines are skipped with a count, never fatal: torn tails
-// are the formats' documented crash mode.
+// sim-timestamp per series) — plus the append-only sweep journal
+// (core/journal.hpp `ecnd1` lines). Unparseable journal lines are skipped
+// with a count, never fatal: a torn tail is the format's documented crash
+// mode.
 //
 // Severity model (mirrors ecnd-report's exit semantics):
 //   kNone       — artifacts are equivalent (after --tolerance suppression)
-//   kNumeric    — values drifted: same shape, different numbers. Includes
-//                 drift inside a bench file's own per-metric tolerance (the
-//                 row is annotated, but drift is drift).
+//   kNumeric    — values drifted: same shape, different numbers.
 //   kStructural — shapes disagree: keys/series/tasks present on one side
 //                 only, kind mismatch between the two files, parse failure.
 // The CLI exits 0/1/2 respectively.
@@ -36,8 +33,8 @@ enum class DiffSeverity : std::uint8_t { kNone = 0, kNumeric = 1, kStructural = 
 
 /// One reported difference. `rel` is the relative change used for ranking
 /// (structural entries rank above any numeric one); `note` carries the
-/// kind-specific context (first-divergence timestamp, tolerance verdict,
-/// added/removed direction).
+/// kind-specific context (first-divergence timestamp, added/removed
+/// direction).
 struct DiffEntry {
   DiffSeverity severity = DiffSeverity::kNumeric;
   std::string key;
@@ -48,14 +45,14 @@ struct DiffEntry {
 };
 
 struct DiffResult {
-  std::string kind;  ///< "manifest", "metrics", "metrics_ts", "bench", "journal"
+  std::string kind;  ///< "manifest", "metrics", "metrics_ts", "journal"
   std::string path_a;
   std::string path_b;
   double tolerance = 0.0;
   std::vector<DiffEntry> entries;  ///< structural first, then |rel| descending
   std::uint64_t suppressed = 0;    ///< numeric drifts under the tolerance
-  std::uint64_t skipped_lines = 0; ///< unparseable journal/history lines
-  std::vector<std::string> context;  ///< header facts (git SHAs, machines)
+  std::uint64_t skipped_lines = 0; ///< unparseable journal lines
+  std::vector<std::string> context;  ///< header facts (digests, cell counts)
 
   DiffSeverity severity() const;
 };
@@ -73,10 +70,5 @@ DiffResult diff_artifacts(const std::string& path_a, const std::string& path_b,
 
 /// Render a DiffResult as the markdown report the CLI prints.
 void write_markdown(std::ostream& out, const DiffResult& result);
-
-/// BENCH_history.jsonl trend report: one markdown table per metric with
-/// value and step-over-step delta per entry (git SHA + machine descriptor).
-/// Unparseable lines are skipped and counted. Throws on unreadable file.
-void write_bench_history_markdown(std::ostream& out, const std::string& path);
 
 }  // namespace ecnd::report

@@ -1,14 +1,13 @@
 // ecnd-diff: regression forensics over two run artifacts.
 //
 //   ecnd-diff [--tolerance <rel>] [--out <path>] <artifact-A> <artifact-B>
-//   ecnd-diff --bench-history <BENCH_history.jsonl> [--out <path>]
 //
 // Artifact kinds are auto-detected (manifest, metrics dump, metrics_ts
-// snapshot, bench baseline, sweep journal); both sides must be the same
-// kind. Output is markdown (stdout by default). Exit status mirrors
-// ecnd-report: 0 = no differences (after --tolerance suppression),
-// 1 = numeric drift, 2 = structural mismatch / parse error / usage error.
-// --bench-history renders the perf trend table instead and exits 0.
+// snapshot, sweep journal); both sides must be the same kind. Output is
+// markdown (stdout by default); --out is written only once both inputs have
+// been read. Exit status mirrors ecnd-report: 0 = no differences (after
+// --tolerance suppression), 1 = numeric drift, 2 = structural mismatch, or a
+// parse or usage error (with the usage line).
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,15 +24,13 @@ namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: ecnd-diff [--tolerance <rel>] [--out <path>] <A> <B>\n"
-               "       ecnd-diff --bench-history <file.jsonl> [--out <path>]\n");
+               "usage: ecnd-diff [--tolerance <rel>] [--out <path>] <A> <B>\n");
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path;
-  std::string history_path;
   double tolerance = 0.0;
   std::vector<std::string> files;
 
@@ -60,8 +57,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(arg, "--out") == 0) {
       out_path = next(i);
-    } else if (std::strcmp(arg, "--bench-history") == 0) {
-      history_path = next(i);
     } else if (std::strcmp(arg, "--help") == 0) {
       usage();
       return 0;
@@ -74,37 +69,28 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (files.size() != 2) {
+    usage();
+    return 2;
+  }
+  ecnd::report::DiffResult result;
   try {
-    std::ofstream out_file;
-    std::ostream* out = &std::cout;
-    if (!out_path.empty()) {
-      out_file.open(out_path);
-      if (!out_file) {
-        std::fprintf(stderr, "ecnd-diff: cannot write %s\n", out_path.c_str());
-        return 2;
-      }
-      out = &out_file;
-    }
-
-    if (!history_path.empty()) {
-      if (!files.empty()) {
-        usage();
-        return 2;
-      }
-      ecnd::report::write_bench_history_markdown(*out, history_path);
-      return 0;
-    }
-
-    if (files.size() != 2) {
+    result = ecnd::report::diff_artifacts(files[0], files[1], tolerance);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ecnd-diff: %s\n", e.what());
+    usage();
+    return 2;
+  }
+  if (out_path.empty()) {
+    ecnd::report::write_markdown(std::cout, result);
+  } else {
+    std::ofstream out(out_path);
+    if (!out) {
+      std::fprintf(stderr, "ecnd-diff: cannot write %s\n", out_path.c_str());
       usage();
       return 2;
     }
-    const ecnd::report::DiffResult result =
-        ecnd::report::diff_artifacts(files[0], files[1], tolerance);
-    ecnd::report::write_markdown(*out, result);
-    return static_cast<int>(result.severity());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "ecnd-diff: %s\n", e.what());
-    return 2;
+    ecnd::report::write_markdown(out, result);
   }
+  return static_cast<int>(result.severity());
 }

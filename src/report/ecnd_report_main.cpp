@@ -1,16 +1,13 @@
-// ecnd-report: aggregate run manifests + perf baselines into a Markdown
-// regression report gated on bench/expectations.json.
+// ecnd-report: aggregate run manifests into a Markdown regression report
+// gated on bench/expectations.json.
 //
 // Usage:
 //   ecnd-report --expectations bench/expectations.json
-//               [--manifest run/manifest.json ...]
-//               [--bench-baseline BENCH_obs.json]
-//               [--bench-current current.json]
-//               [--out report.md] [--strict-perf]
+//               [--manifest run/manifest.json ...] [--out report.md]
 //
-// Every --manifest must be an ecnd-manifest-v1 file and both bench files
-// ecnd-bench-v2. Exit status: 0 all expectations pass (warnings allowed),
-// 1 any FAIL, 2 usage / I/O / parse / schema error (with the usage line).
+// Every --manifest must be an ecnd-manifest-v1 file. Exit status: 0 all
+// expectations pass (warnings allowed), 1 any FAIL, 2 usage / I/O / parse /
+// schema error (with the usage line).
 
 #include <cstdlib>
 #include <fstream>
@@ -28,9 +25,7 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " --expectations FILE [--manifest FILE]...\n"
-               "       [--bench-baseline FILE] [--bench-current FILE]\n"
-               "       [--out FILE] [--strict-perf]\n";
+            << " --expectations FILE [--manifest FILE]... [--out FILE]\n";
   return 2;
 }
 
@@ -39,10 +34,7 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   std::string expectations_path;
   std::vector<std::string> manifest_paths;
-  std::string bench_baseline_path;
-  std::string bench_current_path;
   std::string out_path;
-  bool strict_perf = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -57,14 +49,8 @@ int main(int argc, char** argv) {
       expectations_path = next();
     } else if (arg == "--manifest") {
       manifest_paths.push_back(next());
-    } else if (arg == "--bench-baseline") {
-      bench_baseline_path = next();
-    } else if (arg == "--bench-current") {
-      bench_current_path = next();
     } else if (arg == "--out") {
       out_path = next();
-    } else if (arg == "--strict-perf") {
-      strict_perf = true;
     } else if (arg == "-h" || arg == "--help") {
       return usage(argv[0]);
     } else {
@@ -98,22 +84,12 @@ int main(int argc, char** argv) {
       manifests.push_back(std::move(m));
     }
 
-    Json bench_baseline;
-    Json bench_current;
-    const bool have_baseline = !bench_baseline_path.empty();
-    const bool have_current = !bench_current_path.empty();
-    if (have_baseline) bench_baseline = Json::parse_file(bench_baseline_path);
-    if (have_current) bench_current = Json::parse_file(bench_current_path);
-
-    const ecnd::report::Report report = ecnd::report::evaluate(
-        expectations, manifests, have_baseline ? &bench_baseline : nullptr,
-        have_current ? &bench_current : nullptr, strict_perf);
+    const ecnd::report::Report report =
+        ecnd::report::evaluate(expectations, manifests);
 
     std::ostringstream meta;
     meta << "expectations: " << expectations_path << " · manifests: "
          << manifests.size();
-    if (have_baseline) meta << " · perf baseline: " << bench_baseline_path;
-    if (strict_perf) meta << " · strict-perf";
 
     if (out_path.empty()) {
       ecnd::report::write_markdown(report, meta.str(), std::cout);

@@ -1,7 +1,7 @@
 #pragma once
 // Minimal JSON DOM + recursive-descent parser for the regression reporter:
-// enough to read run manifests (obs/manifest.hpp), metric dumps, perf
-// baselines (BENCH_obs.json) and bench/expectations.json without external
+// enough to read run manifests (obs/manifest.hpp), metric dumps,
+// bench/expectations.json and perfbench/reference.json without external
 // dependencies. Numbers are doubles, objects are sorted maps (key order in
 // the file does not matter to consumers), parse errors throw
 // std::runtime_error with a line/column position.

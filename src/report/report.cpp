@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <stdexcept>
 
 namespace ecnd::report {
 
@@ -110,63 +109,6 @@ Finding check_observable(const std::string& tool, const std::string& name,
   return f;
 }
 
-/// The "metrics" object of an ecnd-bench-v2 file; throws on any other form.
-const Json& bench_metrics(const Json& bench, const char* role) {
-  const auto schema = bench.get_string("schema");
-  const Json* metrics = bench.get("metrics");
-  if (!schema || *schema != "ecnd-bench-v2" || metrics == nullptr ||
-      !metrics->is_object()) {
-    throw std::runtime_error(std::string("perf ") + role +
-                             ": expected schema ecnd-bench-v2 with a metrics "
-                             "object");
-  }
-  return *metrics;
-}
-
-void perf_section(const Json& baseline, const Json* current, bool strict_perf,
-                  double default_tolerance, Report* report) {
-  const Json* cur_map =
-      current != nullptr ? &bench_metrics(*current, "current") : nullptr;
-  for (const auto& [name, entry] : bench_metrics(baseline, "baseline").object()) {
-    const std::optional<double> base = entry.get_number("value");
-    if (!base) continue;
-    const double tol = entry.get_number("tolerance").value_or(default_tolerance);
-
-    Finding f;
-    f.tool = "perf";
-    f.name = name;
-    char expected[96];
-    std::snprintf(expected, sizeof(expected), "%.6g ± %.0f%%", *base,
-                  tol * 100.0);
-    f.expected = expected;
-
-    std::optional<double> cur;
-    if (const Json* c = cur_map != nullptr ? cur_map->get(name) : nullptr) {
-      cur = c->get_number("value");
-      f.value = cur;
-    }
-    if (!cur) {
-      f.status = Status::kWarn;
-      f.note = "no current measurement — pass --bench-current (check.sh "
-               "--report measures one; see also check.sh --perf)";
-      report->perf.push_back(f);
-      continue;
-    }
-    const double ratio = *base != 0.0 ? *cur / *base : 0.0;
-    char note[96];
-    std::snprintf(note, sizeof(note), "current/baseline = %.2f", ratio);
-    f.note = note;
-    if (ratio >= 1.0 - tol && ratio <= 1.0 + tol) {
-      f.status = Status::kPass;
-    } else {
-      f.status = strict_perf ? Status::kFail : Status::kWarn;
-      f.note += ratio > 1.0 ? " (slower than tolerated)"
-                            : " (faster than baseline; consider re-recording)";
-    }
-    report->perf.push_back(f);
-  }
-}
-
 }  // namespace
 
 const char* status_name(Status s) {
@@ -181,15 +123,12 @@ const char* status_name(Status s) {
 int Report::count(Status s) const {
   int n = 0;
   for (const Finding& f : observables) n += f.status == s;
-  for (const Finding& f : perf) n += f.status == s;
   return n;
 }
 
 bool Report::ok() const { return count(Status::kFail) == 0; }
 
-Report evaluate(const Json& expectations, const std::vector<Json>& manifests,
-                const Json* bench_baseline, const Json* bench_current,
-                bool strict_perf, double default_tolerance) {
+Report evaluate(const Json& expectations, const std::vector<Json>& manifests) {
   Report report;
 
   // Index manifests by their tool name; last one wins (a re-run overwrote
@@ -229,11 +168,6 @@ Report evaluate(const Json& expectations, const std::vector<Json>& manifests,
       }
     }
   }
-
-  if (bench_baseline != nullptr) {
-    perf_section(*bench_baseline, bench_current, strict_perf,
-                 default_tolerance, &report);
-  }
   return report;
 }
 
@@ -253,19 +187,6 @@ void write_markdown(const Report& report, const std::string& meta,
           << f.name << "` | " << format_value(f.value) << " | " << f.expected
           << " | " << f.note << " |\n";
     }
-  }
-
-  if (!report.perf.empty()) {
-    out << "\n## Perf vs recorded baseline\n\n";
-    out << "| status | metric | current | expected | note |\n";
-    out << "|---|---|---|---|---|\n";
-    for (const Finding& f : report.perf) {
-      out << "| " << status_marker(f.status) << " | `" << f.name << "` | "
-          << format_value(f.value) << " | " << f.expected << " | " << f.note
-          << " |\n";
-    }
-    out << "\nWall-clock perf rows warn rather than fail unless --strict-perf "
-           "is set; compare only runs from the same machine.\n";
   }
 
   out << "\n## Summary\n\n";

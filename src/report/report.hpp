@@ -1,9 +1,9 @@
 #pragma once
 // Expectation-gated regression evaluation: joins run manifests
 // (obs/manifest.hpp, schema ecnd-manifest-v1) against the codified paper
-// claims in bench/expectations.json, and the current perf numbers against
-// the recorded BENCH_obs.json baseline with its per-metric tolerances, then
-// renders a Markdown report with one pass/warn/fail verdict per observable.
+// claims in bench/expectations.json, then renders a Markdown report with one
+// pass/warn/fail verdict per observable. Performance is compared elsewhere,
+// by scripts/ab.py over perfbench.
 // The `ecnd-report` binary (ecnd_report_main.cpp) is the CLI;
 // scripts/check.sh --report is the CI gate built on it.
 //
@@ -24,9 +24,6 @@
 //   * value outside [min, max] (or != equals) -> FAIL;
 //   * value inside the hard range but outside [warn_min, warn_max] -> WARN;
 //   * otherwise PASS.
-// Perf metrics compare current/baseline against the baseline's recorded
-// per-metric tolerance; out-of-tolerance is WARN by default (wall-clock on a
-// shared CI box is noisy) and FAIL with strict_perf.
 
 #include <iosfwd>
 #include <optional>
@@ -42,7 +39,7 @@ enum class Status { kPass, kWarn, kFail };
 const char* status_name(Status s);
 
 struct Finding {
-  std::string tool;             ///< harness (or "perf" for baseline rows)
+  std::string tool;             ///< harness
   std::string name;             ///< observable / metric name
   std::optional<double> value;  ///< measured value (nullopt: missing/null)
   std::string expected;         ///< human-readable expectation text
@@ -52,7 +49,6 @@ struct Finding {
 
 struct Report {
   std::vector<Finding> observables;
-  std::vector<Finding> perf;
 
   int count(Status s) const;
   /// Gate verdict: no FAIL anywhere.
@@ -60,13 +56,8 @@ struct Report {
 };
 
 /// Evaluate expectations against parsed manifests (any JSON without the
-/// manifest schema is ignored). bench_baseline / bench_current may be
-/// nullptr to skip the perf section; both must be ecnd-bench-v2
-/// ({"metrics": {name: {value, tolerance}}}; a missing tolerance defaults to
-/// `default_tolerance`), anything else throws std::runtime_error.
-Report evaluate(const Json& expectations, const std::vector<Json>& manifests,
-                const Json* bench_baseline, const Json* bench_current,
-                bool strict_perf, double default_tolerance = 0.5);
+/// manifest schema is ignored).
+Report evaluate(const Json& expectations, const std::vector<Json>& manifests);
 
 /// Render the report as Markdown. `meta` is a one-line provenance note
 /// (which expectation file, how many manifests) placed under the title.

@@ -1,7 +1,7 @@
 // ecnd-diff engine (src/report/diff): artifact kind detection, the severity
 // ladder (clean / numeric drift / structural mismatch) that becomes the CLI's
 // 0/1/2 exit status, tolerance suppression, first-divergence localization in
-// metric time-series, and torn-tail tolerance for the append-only formats.
+// metric time-series, and torn-tail tolerance for the sweep journal.
 // Golden inputs are written to the test temp dir — the library is pure
 // file-in/report-out, so these are end-to-end minus main().
 
@@ -52,16 +52,6 @@ std::string metrics_ts(double third_sample) {
   return out.str();
 }
 
-// Single-line on purpose: bench docs double as BENCH_history.jsonl lines.
-std::string bench(double value) {
-  std::ostringstream out;
-  out << R"({"schema": "ecnd-bench-v2", "git_sha": "abc123", )"
-      << R"("machine": {"arch": "x86_64", "hw_threads": 4}, )"
-      << R"("metrics": {"ns_per_event": {"value": )" << value
-      << R"(, "tolerance": 0.5}}})";
-  return out.str();
-}
-
 TEST(DiffDetect, ClassifiesEveryArtifactKind) {
   EXPECT_EQ(detect_artifact(write_artifact("k_metrics.json", kMetricsA)),
             "metrics");
@@ -70,17 +60,10 @@ TEST(DiffDetect, ClassifiesEveryArtifactKind) {
       "manifest");
   EXPECT_EQ(detect_artifact(write_artifact("k_ts.json", metrics_ts(30))),
             "metrics_ts");
-  EXPECT_EQ(detect_artifact(write_artifact("k_bench.json", bench(100))),
-            "bench");
   EXPECT_EQ(detect_artifact(write_artifact(
                 "k_journal.txt",
                 "ecnd1 0123456789abcdef done v=1\n")),
             "journal");
-  // History JSONL: whole-file parse fails, first line is a bench doc.
-  EXPECT_EQ(detect_artifact(write_artifact("k_hist.jsonl",
-                                           bench(100) + "\n" + bench(101) +
-                                               "\n")),
-            "bench_history");
   EXPECT_THROW(detect_artifact(write_artifact("k_junk.txt", "not json\n")),
                std::runtime_error);
   EXPECT_THROW(detect_artifact(::testing::TempDir() + "ecnd_diff_missing"),
@@ -165,20 +148,6 @@ TEST(DiffMetricsTs, LocalizesFirstDivergentSimTimestamp) {
       << r.entries[0].note;
 }
 
-TEST(DiffBench, DriftInsideBaselineToleranceStillExitsOne) {
-  const std::string a = write_artifact("b_a.json", bench(100));
-  const std::string b = write_artifact("b_b.json", bench(120));
-  const DiffResult r = diff_artifacts(a, b);
-  // +20% is inside the metric's own 50% tolerance — annotated, but drift is
-  // drift: the CLI still exits 1 so automation notices the change.
-  EXPECT_EQ(r.severity(), DiffSeverity::kNumeric);
-  ASSERT_EQ(r.entries.size(), 1u);
-  EXPECT_NE(r.entries[0].note.find("within baseline tolerance"),
-            std::string::npos)
-      << r.entries[0].note;
-  EXPECT_FALSE(r.context.empty()) << "bench diffs carry SHA/machine context";
-}
-
 TEST(DiffJournal, QuarantineFlipIsNumericAndTornTailIsSkipped) {
   const std::string a = write_artifact(
       "j_a.txt",
@@ -208,29 +177,18 @@ TEST(DiffKinds, MismatchedArtifactKindsAreStructural) {
 }
 
 TEST(DiffMarkdown, RendersTableAndSummary) {
-  const std::string a = write_artifact("md_a.json", bench(100));
-  const std::string b = write_artifact("md_b.json", bench(120));
+  std::string drifted = kMetricsA;
+  drifted.replace(drifted.find("1000"), 4, "1200");
+  const std::string a = write_artifact("md_a.json", kMetricsA);
+  const std::string b = write_artifact("md_b.json", drifted);
   std::ostringstream out;
   write_markdown(out, diff_artifacts(a, b));
   const std::string text = out.str();
-  EXPECT_NE(text.find("# ecnd-diff: bench"), std::string::npos) << text;
+  EXPECT_NE(text.find("# ecnd-diff: metrics"), std::string::npos) << text;
+  EXPECT_NE(text.find("| drift | sim.events | 1000 | 1200 |"), std::string::npos)
+      << text;
   EXPECT_NE(text.find("| kind | key | A | B | note |"), std::string::npos);
   EXPECT_NE(text.find("worst: drift"), std::string::npos) << text;
-}
-
-TEST(DiffBenchHistory, TornTailIsSkippedNotFatal) {
-  const std::string path = write_artifact(
-      "hist.jsonl", bench(100) + "\n" + bench(110) + "\n" +
-                        R"({"schema": "ecnd-bench-v2", "git_sha": "tor)");
-  std::ostringstream out;
-  write_bench_history_markdown(out, path);
-  const std::string text = out.str();
-  EXPECT_NE(text.find("2 entries"), std::string::npos) << text;
-  EXPECT_NE(text.find("1 unparseable line(s) skipped"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("## ns_per_event"), std::string::npos) << text;
-  // Step-over-step delta, relative to the larger magnitude: 10/110 = 9.09%.
-  EXPECT_NE(text.find("+9.09%"), std::string::npos) << text;
 }
 
 }  // namespace

@@ -157,6 +157,7 @@ TEST(EnvKnob, UnknownKnobsAreReportedByName) {
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "[env] ignoring unknown knob ECND_METRICS\n"
             "[env] ignoring unknown knob ECND_FLIGHT_SAMPLE\n"
+            "[env] ignoring unknown knob ECND_BENCH_JSON\n"
             "[env] ignoring unknown knob ECND_RUN_DIRX\n");
 }
 

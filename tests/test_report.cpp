@@ -1,7 +1,7 @@
 // Regression reporter (src/report): JSON parser round-trips the formats the
 // repo emits, and evaluate() implements the documented pass/warn/fail
 // semantics — missing or null observables fail (a gate that cannot measure is
-// broken, not green), soft ranges warn, perf deltas warn unless strict.
+// broken, not green) and soft ranges warn.
 
 #include "report/report.hpp"
 
@@ -140,7 +140,7 @@ const Finding& find(const Report& r, const std::string& name) {
 
 TEST(Evaluate, StatusSemantics) {
   const Report r =
-      evaluate(expectations(), {manifest()}, nullptr, nullptr, false);
+      evaluate(expectations(), {manifest()});
   EXPECT_EQ(find(r, "in_range").status, Status::kPass);
   EXPECT_EQ(find(r, "soft").status, Status::kWarn);     // inside hard, below warn_min
   EXPECT_EQ(find(r, "too_big").status, Status::kFail);  // outside hard range
@@ -152,64 +152,21 @@ TEST(Evaluate, StatusSemantics) {
 }
 
 TEST(Evaluate, MissingManifestIsOneFailure) {
-  const Report r = evaluate(expectations(), {}, nullptr, nullptr, false);
+  const Report r = evaluate(expectations(), {});
   ASSERT_EQ(r.observables.size(), 1u);
   EXPECT_EQ(r.observables[0].status, Status::kFail);
   EXPECT_EQ(r.observables[0].name, "(manifest)");
 }
 
 TEST(Evaluate, NonManifestJsonIsIgnored) {
-  const Json stray = Json::parse(R"({"schema": "ecnd-bench-v2"})");
-  const Report with = evaluate(expectations(), {stray, manifest()}, nullptr,
-                               nullptr, false);
+  const Json stray = Json::parse(R"({"schema": "ecnd-metrics-v1"})");
+  const Report with = evaluate(expectations(), {stray, manifest()});
   EXPECT_EQ(find(with, "in_range").status, Status::kPass);
-}
-
-TEST(Evaluate, PerfToleranceWarnsByDefaultFailsWhenStrict) {
-  const Json baseline = Json::parse(R"({
-    "schema": "ecnd-bench-v2",
-    "metrics": {
-      "fast": {"value": 100.0, "tolerance": 0.5},
-      "slow": {"value": 100.0, "tolerance": 0.1}
-    }
-  })");
-  const Json current = Json::parse(R"({
-    "schema": "ecnd-bench-v2",
-    "metrics": {
-      "fast": {"value": 120.0},
-      "slow": {"value": 150.0}
-    }
-  })");
-  const Json empty_exp = Json::parse(R"({"schema": "ecnd-expectations-v1"})");
-
-  const Report lenient =
-      evaluate(empty_exp, {}, &baseline, &current, false);
-  ASSERT_EQ(lenient.perf.size(), 2u);
-  EXPECT_EQ(lenient.count(Status::kFail), 0);
-  EXPECT_EQ(lenient.count(Status::kWarn), 1);  // slow is out of tolerance
-
-  const Report strict = evaluate(empty_exp, {}, &baseline, &current, true);
-  EXPECT_EQ(strict.count(Status::kFail), 1);
-}
-
-TEST(Evaluate, PerfFilesOtherThanBenchV2AreRejected) {
-  // No writer emits the old flat ecnd-bench-v1 form; a perf file in any
-  // form but ecnd-bench-v2 is an error, never a silently empty section.
-  const Json v1 = Json::parse(
-      R"({"schema": "ecnd-bench-v1", "ns_per_sim_event": 100.0})");
-  const Json v2 = Json::parse(
-      R"({"schema": "ecnd-bench-v2", "metrics": {"x": {"value": 1.0}}})");
-  const Json empty_exp = Json::parse(R"({"schema": "ecnd-expectations-v1"})");
-  EXPECT_THROW(evaluate(empty_exp, {}, &v1, &v2, false), std::runtime_error);
-  EXPECT_THROW(evaluate(empty_exp, {}, &v2, &v1, false), std::runtime_error);
-  EXPECT_THROW(evaluate(empty_exp, {}, &v1, nullptr, false),
-               std::runtime_error);
-  EXPECT_EQ(evaluate(empty_exp, {}, &v2, &v2, false).perf.size(), 1u);
 }
 
 TEST(WriteMarkdown, VerdictLineMatchesReport) {
   const Report r =
-      evaluate(expectations(), {manifest()}, nullptr, nullptr, false);
+      evaluate(expectations(), {manifest()});
   std::ostringstream out;
   write_markdown(r, "meta line", out);
   const std::string text = out.str();
