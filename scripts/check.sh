@@ -17,10 +17,11 @@
 # first-divergence timestamp) on a fault_study seed pair, and a
 # -DECND_OBS=OFF build must create no directory and print the same stdout.
 #
-# --report runs the quick figure set with a run directory per harness,
-# requires stdout and run directories bit-identical at ECND_THREADS=1 vs 4
-# and stdout untouched by the recorders, and gates the manifests against
-# bench/expectations.json via ecnd-report.
+# --report runs the quick figure set plus quickstart with a run directory
+# per harness, requires stdout and run directories bit-identical at
+# ECND_THREADS=1 vs 4 and stdout untouched by the recorders, compares the
+# ECND_THREADS=1 outputs against the committed bench/golden.tsv, and gates
+# the manifests against bench/expectations.json via ecnd-report.
 #
 # --perf compares the working tree against its merge base with main through
 # scripts/ab.py: per perfbench workload, 10 interleaved pairs of runs plus
@@ -207,11 +208,14 @@ report() {
     "ext_fabric bench/bench_ext_fabric"
     "fault_study examples/fault_study 4 0.05 1"
   )
+  # quickstart writes no manifest: it joins the runs and the golden table,
+  # not the ecnd-report list.
+  local runs=("${quick_set[@]}" "quickstart examples/quickstart")
   local entry name cmd t manifests=()
   for t in 1 4; do
     echo "-- quick figure set, ECND_THREADS=$t"
     mkdir -p "$tmp/out$t"
-    for entry in "${quick_set[@]}"; do
+    for entry in "${runs[@]}"; do
       read -r name cmd <<< "$entry"
       ECND_QUICK=1 ECND_THREADS=$t ECND_RUN_DIR="$tmp/run$t/$name" \
         build/$cmd > "$tmp/out$t/$name.csv" 2>/dev/null
@@ -225,6 +229,33 @@ report() {
   echo "-- stdout untouched by the recorders (fig02 armed vs idle)"
   build/bench/bench_fig02_dcqcn_validation > "$tmp/fig02_idle.csv" 2>/dev/null
   cmp "$tmp/out1/fig02.csv" "$tmp/fig02_idle.csv"
+
+  # One row per (harness, field): the sha256 of stdout, manifest.json and
+  # metrics.json, and the exact work counters metrics.json holds. An intended
+  # change copies build/golden.tsv over bench/golden.tsv and says why.
+  echo "-- golden outputs: build/golden.tsv against bench/golden.tsv"
+  python3 - "$tmp" "${runs[@]%% *}" > build/golden.tsv <<'EOF'
+import hashlib, json, os, sys
+tmp, names = sys.argv[1], sys.argv[2:]
+for name in names:
+    run = f"{tmp}/run1/{name}"
+    for field, path in (("stdout", f"{tmp}/out1/{name}.csv"),
+                        ("manifest.json", f"{run}/manifest.json"),
+                        ("metrics.json", f"{run}/metrics.json")):
+        if os.path.exists(path):
+            digest = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            print(f"{name}\t{field}\t{digest}")
+    counters = json.load(open(f"{run}/metrics.json"))["counters"]
+    for field in ("sim.events", "sim.pkt_tx", "fluid.rk4_steps",
+                  "fluid.rhs_evals", "par.tasks"):
+        if field in counters:
+            print(f"{name}\t{field}\t{counters[field]}")
+EOF
+  if ! diff -u bench/golden.tsv build/golden.tsv; then
+    echo "ERROR: outputs moved against bench/golden.tsv (diff above);" \
+      "for an intended change copy build/golden.tsv over it" >&2
+    exit 1
+  fi
 
   echo "-- ecnd-report gate (bench/expectations.json)"
   for entry in "${quick_set[@]}"; do
