@@ -2,10 +2,11 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <filesystem>
 #include <stdexcept>
 #include <system_error>
 
-#include "core/snapshot.hpp"  // fnv1a64
+#include "core/fnv1a.hpp"
 #include "obs/metrics.hpp"
 
 namespace ecnd {
@@ -108,6 +109,11 @@ void SweepJournal::load(const std::string& path) {
       // A quarantine after a stale `done` invalidates it.
       entries_.erase(key);
     }
+  }
+  if (pos < text.size()) {
+    // The final line has no '\n': a SIGKILL tore it mid-write. Cut it off so
+    // the next record starts on its own line instead of extending it.
+    std::filesystem::resize_file(path, pos);
   }
 }
 

@@ -13,9 +13,10 @@
 //
 // Crash tolerance is structural, not transactional: the journal is
 // append-only text, one line per cell, each written with a single
-// fwrite+fflush. A SIGKILL can tear at most the final line; the loader
-// simply skips any line that does not parse, so a torn tail costs one
-// recomputed cell, never a corrupted resume.
+// fwrite+fflush. A SIGKILL can tear at most the final line; a resume cuts
+// that line off before appending and the loader skips any line that does
+// not parse, so a torn tail costs one recomputed cell, never a corrupted
+// resume.
 //
 // Line format (text, one record per line):
 //
@@ -26,8 +27,7 @@
 // failure for the post-mortem but is deliberately re-executed on resume (the
 // retry may succeed, and a stale failure must never poison a fresh sweep).
 // Keys include the build fingerprint (git SHA), so a journal written by
-// different code never matches — "refuse and re-run", same stance as the
-// binary snapshots in core/snapshot.hpp.
+// different code never matches: refuse and re-run, never reinterpret.
 
 #include <cstdint>
 #include <cstdio>
@@ -67,8 +67,9 @@ class SweepJournal {
   SweepJournal& operator=(const SweepJournal&) = delete;
 
   /// Attach to `path`. resume=false truncates (clean sweep); resume=true
-  /// loads every complete `done` line first, then appends. Throws
-  /// std::runtime_error when the file cannot be opened for writing.
+  /// loads every complete `done` line first, cuts off a torn final line,
+  /// then appends. Throws std::runtime_error when the file cannot be opened
+  /// for writing.
   void open(const std::string& path, bool resume);
 
   bool enabled() const { return file_ != nullptr; }

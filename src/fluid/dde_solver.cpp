@@ -299,83 +299,6 @@ void History::trim_before(double t_keep_rows, double t_keep_deep) {
   }
 }
 
-void History::save(SnapshotWriter& w) const {
-  const std::size_t n = times_.size();
-  w.u64(dim_);
-  w.u64(n - start_);
-  // Rebase the cursor onto the compacted window; a hint that pointed into
-  // the dead prefix was already invalid (locate() re-validates), so 0 —
-  // "no usable hint" — reproduces its behavior exactly.
-  w.u64(cursor_ >= start_ ? cursor_ - start_ : 0);
-  for (std::size_t i = start_; i < n; ++i) w.f64(times_[i]);
-  for (std::size_t i = start_ * dim_; i < n * dim_; ++i) w.f64(states_[i]);
-  // Deep-retention side store (empty unless split retention is active).
-  const std::size_t m = deep_times_.size();
-  w.u64(deep_begin_);
-  w.u64(deep_count_);
-  w.u64(m - deep_start_);
-  w.u64(deep_cursor_ >= deep_start_ ? deep_cursor_ - deep_start_ : 0);
-  for (std::size_t i = deep_start_; i < m; ++i) w.f64(deep_times_[i]);
-  for (std::size_t i = deep_start_ * deep_count_; i < m * deep_count_; ++i) {
-    w.f64(deep_vals_[i]);
-  }
-}
-
-void History::restore(SnapshotReader& r) {
-  const std::uint64_t dim = r.u64();
-  if (dim != dim_) {
-    throw SnapshotError("history dimension " + std::to_string(dim) +
-                        " does not match the system's " + std::to_string(dim_));
-  }
-  const std::uint64_t n = r.u64();
-  const std::uint64_t cursor = r.u64();
-  if (cursor > n) throw SnapshotError("history cursor beyond recorded rows");
-  times_.clear();
-  states_.clear();
-  times_.reserve(static_cast<std::size_t>(n));
-  states_.reserve(static_cast<std::size_t>(n * dim_));
-  double prev = 0.0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const double t = r.f64();
-    if (i > 0 && !(t >= prev)) {
-      throw SnapshotError("history times not monotonic (corrupt payload?)");
-    }
-    prev = t;
-    times_.push_back(t);
-  }
-  for (std::uint64_t i = 0; i < n * dim_; ++i) states_.push_back(r.f64());
-  const std::uint64_t deep_begin = r.u64();
-  const std::uint64_t deep_count = r.u64();
-  if (deep_count > 0 && deep_begin + deep_count > dim_) {
-    throw SnapshotError("deep-retention range exceeds history dimension");
-  }
-  const std::uint64_t m = r.u64();
-  const std::uint64_t deep_cursor = r.u64();
-  if (deep_cursor > m) {
-    throw SnapshotError("deep cursor beyond recorded rows");
-  }
-  deep_times_.clear();
-  deep_vals_.clear();
-  prev = 0.0;
-  for (std::uint64_t i = 0; i < m; ++i) {
-    const double t = r.f64();
-    if (i > 0 && !(t >= prev)) {
-      throw SnapshotError("deep history times not monotonic (corrupt payload?)");
-    }
-    prev = t;
-    deep_times_.push_back(t);
-  }
-  for (std::uint64_t i = 0; i < m * deep_count; ++i) {
-    deep_vals_.push_back(r.f64());
-  }
-  start_ = 0;
-  cursor_ = static_cast<std::size_t>(cursor);
-  deep_begin_ = static_cast<std::size_t>(deep_begin);
-  deep_count_ = static_cast<std::size_t>(deep_count);
-  deep_start_ = 0;
-  deep_cursor_ = static_cast<std::size_t>(deep_cursor);
-}
-
 DdeSolver::DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
                      double t0, double dt)
     : system_(system),
@@ -602,55 +525,6 @@ void DdeSolver::run_until(
     if (tracing) obs::trace_instant("fluid.rk4_step", t_ * 1e6, x_.empty() ? 0.0 : x_[0]);
   }
   if (observer) observer(t_, x_);
-}
-
-void DdeSolver::save(std::ostream& out) const {
-  SnapshotWriter w;
-  w.u64(x_.size());
-  w.f64(t_);
-  w.f64(t0_);
-  w.f64(dt_);
-  w.u64(step_index_);
-  w.u64(steps_retried_);
-  w.f64(last_trim_);
-  w.f64_span(x_);
-  history_.save(w);
-  w.finish(out);
-}
-
-void DdeSolver::restore(std::istream& in) {
-  SnapshotReader r(in);
-  const std::uint64_t dim = r.u64();
-  if (dim != system_.dim()) {
-    throw SnapshotError("state dimension " + std::to_string(dim) +
-                        " does not match the system's " +
-                        std::to_string(system_.dim()));
-  }
-  const double t = r.f64();
-  const double t0 = r.f64();
-  const double dt = r.f64();
-  if (!(dt > 0.0)) throw SnapshotError("non-positive dt (corrupt payload?)");
-  const std::uint64_t step_index = r.u64();
-  const std::uint64_t steps_retried = r.u64();
-  const double last_trim = r.f64();
-  std::vector<double> x = r.f64_vec();
-  if (x.size() != dim) {
-    throw SnapshotError("state vector length does not match dimension");
-  }
-  // Stage the history separately so a validation throw leaves this solver
-  // untouched (restore either fully succeeds or changes nothing).
-  History history(system_.dim());
-  history.restore(r);
-  r.finish();
-
-  history_ = std::move(history);
-  t_ = t;
-  t0_ = t0;
-  dt_ = dt;
-  step_index_ = step_index;
-  steps_retried_ = steps_retried;
-  last_trim_ = last_trim;
-  x_ = std::move(x);
 }
 
 }  // namespace ecnd::fluid

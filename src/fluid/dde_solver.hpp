@@ -27,13 +27,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "core/diagnostic.hpp"
-#include "core/snapshot.hpp"
 
 namespace ecnd::fluid {
 
@@ -102,14 +100,6 @@ class History {
   /// variables back to t_keep_deep (<= t_keep_rows). Equivalent to
   /// trim_before(t_keep_rows) when set_deep_retention was never called.
   void trim_before(double t_keep_rows, double t_keep_deep);
-
-  /// Serialize the live window [start_, size) into `w` (the dead prefix is
-  /// compacted away; the cursor hint is rebased so a restored History answers
-  /// every lookup — and counts every hint hit — exactly like the original).
-  void save(SnapshotWriter& w) const;
-  /// Inverse of save(). Throws SnapshotError when the recorded dimension
-  /// differs from this History's.
-  void restore(SnapshotReader& r);
 
  private:
   /// First index in (start, size) with times[i] >= t, walking forward from
@@ -250,20 +240,6 @@ class DdeSolver {
   void run_until(double t_end,
                  const std::function<void(double, std::span<const double>)>& observer,
                  double sample_interval);
-
-  /// Freeze the complete integration state (clock, grid index, state vector,
-  /// retry count, history window) into a versioned snapshot. A solver
-  /// restored from it continues bit-identically to this one: same accepted
-  /// states, same delayed-lookup results, same metric counts. The guard is
-  /// NOT serialized (it is a closure); reinstall it after restore().
-  void save(std::ostream& out) const;
-
-  /// Restore from a snapshot written by save(). The solver must be driving
-  /// the same DdeSystem (dimension is validated; the system's equations are
-  /// the caller's responsibility, exactly as with the constructor). Replaces
-  /// all current state including the history. Throws SnapshotError on
-  /// version/kind/digest/dimension mismatch.
-  void restore(std::istream& in);
 
  private:
   /// One RK4 update of size h applied in place to x_ (no history append).

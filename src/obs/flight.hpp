@@ -42,6 +42,8 @@
 #include <cstdint>
 #include <iosfwd>
 
+#include "core/fnv1a.hpp"
+
 namespace ecnd::obs {
 
 /// Default sampling modulus: 1 in 16 flows.
@@ -111,24 +113,15 @@ void set_flight_enabled(bool on);
 void set_flight_sample(std::uint64_t n);
 std::uint64_t flight_sample();
 
-/// Deterministic sampling decision: FNV-1a over the flow identity (the same
-/// mix as sim::ecmp_hash, unseeded) with a murmur3 avalanche finalizer,
+/// Deterministic sampling decision: fnv1a64_flow over the flow identity
+/// (sim::ecmp_hash's hash, unseeded) with a murmur3 avalanche finalizer,
 /// reduced by the sampling modulus. The finalizer matters: FNV-1a's low bits
 /// are weak, and over the correlated identities flows actually have (flow_id
 /// embeds src_host) a power-of-two modulus on the raw hash can miss residue
 /// 0 entirely — whole scenarios silently record nothing. Pure — consumes no
 /// RNG, identical at any thread count.
 inline bool flight_sampled(int src_host, int dst_host, std::uint64_t flow_id) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  auto mix = [&h](std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_host)), 4);
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_host)), 4);
-  mix(flow_id, 8);
+  std::uint64_t h = fnv1a64_flow(src_host, dst_host, flow_id);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;

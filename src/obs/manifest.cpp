@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "core/fnv1a.hpp"
 #include "core/json_writer.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,12 +20,7 @@ namespace {
 std::uint64_t metrics_digest() {
   std::ostringstream dump;
   dump_metrics_json(dump);
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : dump.str()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
+  return fnv1a64(dump.str());
 }
 
 void write_section(std::ostream& out, const char* name,

@@ -18,8 +18,8 @@ namespace ecnd::sim {
 /// Display name of switch `switch_id`'s egress port `port` under the wiring
 /// convention used by Network::add_switch (ids start at 1000, name
 /// "sw<id-1000>") and Switch::add_port (":p<index>"). Lets journaled rows
-/// that can only store integers (the checkpoint codec has no string fields)
-/// reconstruct the human-readable port name at print time.
+/// that can only store numbers (the journal's FieldWriter has no string
+/// fields) reconstruct the human-readable port name at print time.
 inline std::string switch_port_name(int switch_id, int port) {
   return "sw" + std::to_string(switch_id - 1000) + ":p" + std::to_string(port);
 }

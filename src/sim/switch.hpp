@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/fnv1a.hpp"
 #include "sim/node.hpp"
 #include "sim/port.hpp"
 
@@ -51,17 +52,7 @@ struct PauseCause {
 /// path (no intra-flow reordering).
 inline std::uint64_t ecmp_hash(std::uint64_t seed, int src_host, int dst_host,
                                std::uint64_t flow_id) {
-  std::uint64_t h = 0xcbf29ce484222325ULL ^ seed;
-  auto mix = [&h](std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_host)), 4);
-  mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_host)), 4);
-  mix(flow_id, 8);
-  return h;
+  return fnv1a64_flow(src_host, dst_host, flow_id, kFnv1aOffset ^ seed);
 }
 
 class Switch final : public Node {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 namespace ecnd::fluid {
 namespace {
@@ -461,23 +460,6 @@ TEST(DdeSolver, DeepRetentionTrajectoryBitIdentical) {
   }
   EXPECT_EQ(sf.state()[0], sd.state()[0]);
   EXPECT_EQ(sf.state()[1], sd.state()[1]);
-}
-
-TEST(DdeSolver, DeepRetentionSurvivesSaveRestore) {
-  // Snapshot taken after the solver has trimmed rows into the deep side
-  // store; the restored solver must continue bit-identically.
-  DeepDelayedFeedback deep(100.0, 0.01, true);
-  DdeSolver a(deep, {1.0, 0.0}, 0.0, 1e-4);
-  a.run_until(1.0, nullptr, 0.0);
-  std::stringstream snap;
-  a.save(snap);
-  DdeSolver b(deep, {0.0, 0.0}, 0.0, 1e-4);  // junk init, overwritten
-  b.restore(snap);
-  a.run_until(1.5, nullptr, 0.0);
-  b.run_until(1.5, nullptr, 0.0);
-  EXPECT_EQ(a.time(), b.time());
-  EXPECT_EQ(a.state()[0], b.state()[0]);
-  EXPECT_EQ(a.state()[1], b.state()[1]);
 }
 
 }  // namespace

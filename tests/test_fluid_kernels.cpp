@@ -27,7 +27,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/snapshot.hpp"
+#include "core/fnv1a.hpp"
 #include "fluid/dcqcn_model.hpp"
 #include "fluid/dde_solver.hpp"
 #include "fluid/fluid_model.hpp"

@@ -1,6 +1,6 @@
-// Content-addressed sweep journal: keys, crash-tolerant loading, and the
-// journaled_map resume semantics (skip completed cells, re-run quarantined
-// ones, survive torn tails).
+// Content-addressed sweep journal: keys (and the FNV-1a digest under them),
+// crash-tolerant loading, and the journaled_map resume semantics (skip
+// completed cells, re-run quarantined ones, survive torn tails).
 
 #include "core/journal.hpp"
 
@@ -15,6 +15,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "core/fnv1a.hpp"
 
 namespace ecnd {
 namespace {
@@ -87,12 +89,29 @@ TEST(SweepJournal, TruncatedTailAndGarbageLinesAreSkipped) {
     out << "ecnd1 zzzz nothexadecimal done 5\n";
     out << "ecnd1 0123456789abcdef done 99";  // torn: no newline
   }
+  {
+    SweepJournal j;
+    j.open(path, true);
+    EXPECT_EQ(j.loaded(), 1u);
+    ASSERT_NE(j.find(j.key("good")), nullptr);
+    EXPECT_EQ(*j.find(j.key("good")), "11");
+    EXPECT_EQ(j.find(0x0123456789abcdefull), nullptr);  // torn line dropped
+    j.record(j.key("next"), true, "2");
+  }
+  // The record after the resume starts on its own line: it is not glued
+  // onto the torn one, which stays absent.
   SweepJournal j;
   j.open(path, true);
-  EXPECT_EQ(j.loaded(), 1u);
-  ASSERT_NE(j.find(j.key("good")), nullptr);
-  EXPECT_EQ(*j.find(j.key("good")), "11");
-  EXPECT_EQ(j.find(0x0123456789abcdefull), nullptr);  // torn line dropped
+  EXPECT_EQ(j.loaded(), 2u);
+  ASSERT_NE(j.find(j.key("next")), nullptr);
+  EXPECT_EQ(*j.find(j.key("next")), "2");
+  EXPECT_EQ(j.find(0x0123456789abcdefull), nullptr);
+}
+
+TEST(Fnv1a, KnownAnswers) {
+  EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
 }
 
 TEST(SweepJournal, NewlinesInPayloadsAreFlattened) {

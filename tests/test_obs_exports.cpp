@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/fnv1a.hpp"
 #include "core/parallel.hpp"
 #include "exp/fabric.hpp"
 #include "fluid/dcqcn_model.hpp"
@@ -40,15 +41,6 @@ namespace ecnd {
 namespace {
 
 #if !defined(ECND_OBS_DISABLED)
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::vector<std::string> lines_of(const std::string& text) {
   std::vector<std::string> out;
@@ -202,14 +194,14 @@ TEST_F(ObsExportPins, EveryExportMatchesItsRecordedDigest) {
   ASSERT_GT(obs::trace_dropped_total(), 0u)
       << "the ring must wrap so the manifest's trace section is non-trivial";
 
-  EXPECT_EQ(fnv1a(scenario_metrics(metrics)), 0x93594e405f32cb75ull)
+  EXPECT_EQ(fnv1a64(scenario_metrics(metrics)), 0x93594e405f32cb75ull)
       << "metrics dump";
-  EXPECT_EQ(fnv1a(trace), 0x92b6146fd1886607ull) << "trace";
-  EXPECT_EQ(fnv1a(postcards), 0x0f538055a68714b5ull) << "flight postcards";
-  EXPECT_EQ(fnv1a(timeline), 0x1cf145b3008f8ef0ull) << "flight timeline";
-  EXPECT_EQ(fnv1a(pausetree), 0x591ceb70fdffae51ull) << "flight pause tree";
-  EXPECT_EQ(fnv1a(metrics_ts), 0xa147202439e06387ull) << "metrics_ts";
-  EXPECT_EQ(fnv1a(scenario_folded(folded)), 0x6db1ae7edebff596ull)
+  EXPECT_EQ(fnv1a64(trace), 0x92b6146fd1886607ull) << "trace";
+  EXPECT_EQ(fnv1a64(postcards), 0x0f538055a68714b5ull) << "flight postcards";
+  EXPECT_EQ(fnv1a64(timeline), 0x1cf145b3008f8ef0ull) << "flight timeline";
+  EXPECT_EQ(fnv1a64(pausetree), 0x591ceb70fdffae51ull) << "flight pause tree";
+  EXPECT_EQ(fnv1a64(metrics_ts), 0xa147202439e06387ull) << "metrics_ts";
+  EXPECT_EQ(fnv1a64(scenario_folded(folded)), 0x6db1ae7edebff596ull)
       << "folded profile";
 
   // The manifest minus its registry-wide digest line, which must summarize
@@ -218,7 +210,7 @@ TEST_F(ObsExportPins, EveryExportMatchesItsRecordedDigest) {
   char digest_line[64];
   std::snprintf(digest_line, sizeof(digest_line),
                 "  \"metrics_digest\": \"fnv1a:%016llx\"",
-                static_cast<unsigned long long>(fnv1a(metrics)));
+                static_cast<unsigned long long>(fnv1a64(metrics)));
   std::string rest;
   bool saw_digest = false;
   for (const std::string& line : lines_of(manifest)) {
@@ -231,7 +223,7 @@ TEST_F(ObsExportPins, EveryExportMatchesItsRecordedDigest) {
     rest += '\n';
   }
   EXPECT_TRUE(saw_digest) << manifest;
-  EXPECT_EQ(fnv1a(rest), 0xe8cdc63fb31e6cd9ull) << "manifest\n" << manifest;
+  EXPECT_EQ(fnv1a64(rest), 0xe8cdc63fb31e6cd9ull) << "manifest\n" << manifest;
 }
 
 #endif  // !ECND_OBS_DISABLED
