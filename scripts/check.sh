@@ -31,10 +31,12 @@
 # On main the base is HEAD, so it measures uncommitted edits. The mode takes
 # at least 37 minutes: 88 runs of 25 s.
 #
-# --resume-smoke exercises the crash-resume path end to end: run a journaled
-# sweep (bench_fig14 with ECND_JOURNAL), SIGKILL it mid-flight, re-run with
-# --resume, and require (a) the journal reported reused cells and (b) the
-# resumed stdout is byte-identical to an uninterrupted run.
+# --resume-smoke exercises the crash-resume path end to end on a packet
+# sweep (bench_fig14) and a fluid sweep (bench_fig20): run each with
+# ECND_JOURNAL, SIGKILL it mid-flight, re-run with --resume, and require
+# (a) the journal reported reused cells, (b) the resumed stdout is
+# byte-identical to an uninterrupted run and (c) the journal then covers
+# the full grid.
 #
 # Any other argument prints the usage line and exits 2.
 
@@ -274,59 +276,63 @@ perf_gate() {
 }
 
 resume_smoke() {
-  echo "== crash-resume smoke (bench_fig14 + ECND_JOURNAL) =="
+  echo "== crash-resume smoke (bench_fig14 + bench_fig20, ECND_JOURNAL) =="
   build_suite build
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT
-  bench=build/bench/bench_fig14_fct_vs_load
 
-  echo "-- uninterrupted reference run"
-  ECND_QUICK=1 ECND_THREADS=2 ECND_JOURNAL="$tmp/ref_journal.txt" \
-    "$bench" > "$tmp/clean.csv" 2>/dev/null
-  total="$(grep -c ' done ' "$tmp/ref_journal.txt")"
-  echo "   $total cells journaled"
+  # One packet sweep (12 cells) and one fluid sweep (6 cells).
+  local name bench total done_cells pid reused final
+  for name in fig14_fct_vs_load fig20_jitter; do
+    bench=build/bench/bench_$name
+    echo "-- $name: uninterrupted reference run"
+    ECND_QUICK=1 ECND_THREADS=2 ECND_JOURNAL="$tmp/$name.ref_journal" \
+      "$bench" > "$tmp/$name.clean" 2>/dev/null
+    total="$(grep -c ' done ' "$tmp/$name.ref_journal")"
+    echo "   $total cells journaled"
 
-  echo "-- interrupted run (SIGKILL once >=3 cells are journaled)"
-  ECND_QUICK=1 ECND_THREADS=2 ECND_JOURNAL="$tmp/journal.txt" \
-    "$bench" > /dev/null 2>&1 &
-  pid=$!
-  for _ in $(seq 1 200); do
-    done_cells="$(grep -c ' done ' "$tmp/journal.txt" 2>/dev/null || true)"
-    if [[ "${done_cells:-0}" -ge 3 ]]; then break; fi
-    if ! kill -0 "$pid" 2>/dev/null; then break; fi
-    sleep 0.05
+    echo "-- $name: interrupted run (SIGKILL once >=3 cells are journaled)"
+    ECND_QUICK=1 ECND_THREADS=2 ECND_JOURNAL="$tmp/$name.journal" \
+      "$bench" > /dev/null 2>&1 &
+    pid=$!
+    for _ in $(seq 1 200); do
+      done_cells="$(grep -c ' done ' "$tmp/$name.journal" 2>/dev/null || true)"
+      if [[ "${done_cells:-0}" -ge 3 ]]; then break; fi
+      if ! kill -0 "$pid" 2>/dev/null; then break; fi
+      sleep 0.05
+    done
+    if kill -9 "$pid" 2>/dev/null; then
+      wait "$pid" 2>/dev/null || true
+      echo "   killed after ${done_cells:-0} of $total cells"
+    else
+      wait "$pid" 2>/dev/null || true
+      echo "   note: sweep finished before the kill landed (resume still checked)"
+    fi
+
+    echo "-- $name: resumed run"
+    ECND_QUICK=1 ECND_THREADS=2 ECND_JOURNAL="$tmp/$name.journal" \
+      "$bench" --resume > "$tmp/$name.resumed" 2> "$tmp/$name.err"
+    if ! grep -q '^\[journal\]' "$tmp/$name.err"; then
+      echo "ERROR: $name resumed run printed no [journal] summary" >&2
+      exit 1
+    fi
+    reused="$(sed -n 's/^\[journal\].*reused \([0-9]*\) of.*/\1/p' "$tmp/$name.err")"
+    echo "   $(grep '^\[journal\]' "$tmp/$name.err")"
+    if [[ "${reused:-0}" -lt 1 ]]; then
+      echo "ERROR: $name resumed run reused no journaled cells" >&2
+      exit 1
+    fi
+
+    echo "-- $name: resumed stdout byte-identical to the uninterrupted run"
+    cmp "$tmp/$name.clean" "$tmp/$name.resumed"
+
+    echo "-- $name: journal now covers the full grid"
+    final="$(grep -c ' done ' "$tmp/$name.journal")"
+    if [[ "$final" -ne "$total" ]]; then
+      echo "ERROR: $name journal has $final done cells, expected $total" >&2
+      exit 1
+    fi
   done
-  if kill -9 "$pid" 2>/dev/null; then
-    wait "$pid" 2>/dev/null || true
-    echo "   killed after ${done_cells:-0} of $total cells"
-  else
-    wait "$pid" 2>/dev/null || true
-    echo "   note: sweep finished before the kill landed (resume still checked)"
-  fi
-
-  echo "-- resumed run"
-  ECND_QUICK=1 ECND_THREADS=2 ECND_JOURNAL="$tmp/journal.txt" \
-    "$bench" --resume > "$tmp/resumed.csv" 2> "$tmp/resumed.err"
-  if ! grep -q '^\[journal\]' "$tmp/resumed.err"; then
-    echo "ERROR: resumed run printed no [journal] summary" >&2
-    exit 1
-  fi
-  reused="$(sed -n 's/^\[journal\].*reused \([0-9]*\) of.*/\1/p' "$tmp/resumed.err")"
-  echo "   $(grep '^\[journal\]' "$tmp/resumed.err")"
-  if [[ "${reused:-0}" -lt 1 ]]; then
-    echo "ERROR: resumed run reused no journaled cells" >&2
-    exit 1
-  fi
-
-  echo "-- resumed stdout byte-identical to the uninterrupted run"
-  cmp "$tmp/clean.csv" "$tmp/resumed.csv"
-
-  echo "-- journal now covers the full grid"
-  final="$(grep -c ' done ' "$tmp/journal.txt")"
-  if [[ "$final" -ne "$total" ]]; then
-    echo "ERROR: journal has $final done cells, expected $total" >&2
-    exit 1
-  fi
 
   echo "resume smoke: all checks passed"
 }
