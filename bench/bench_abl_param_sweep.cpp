@@ -4,10 +4,10 @@
 // main knobs at load 0.6 and report small-flow FCT: no TIMELY setting
 // reaches DCQCN's tail behavior.
 
-#include <cstdlib>
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/env_knob.hpp"
 #include "exp/scenarios.hpp"
 
 using namespace ecnd;
@@ -31,7 +31,7 @@ int main() {
   bench::banner("Ablation - parameter sweeps at load 0.6",
                 "the DCQCN/TIMELY gap is structural, not a tuning artifact");
 
-  const char* quick = std::getenv("ECND_QUICK");
+  const bool quick = env::quick();
   const int flows = quick ? 500 : 1500;
   const double load = 0.6;
 

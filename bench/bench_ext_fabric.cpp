@@ -21,12 +21,12 @@
 // set, finished cells land in the journal and --resume skips them.
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/env_knob.hpp"
 #include "exp/fabric.hpp"
 #include "obs/manifest.hpp"
 
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   bench::banner("Fabric extension - incast / shuffle / pause storm",
                 "beyond the paper: k=4 fat-tree with per-flow ECMP");
 
-  const bool quick = std::getenv("ECND_QUICK") != nullptr;
+  const bool quick = env::quick();
   const std::vector<int> incast_n =
       quick ? std::vector<int>{8, 32} : std::vector<int>{8, 16, 32, 47};
   const Bytes incast_bytes = kilobytes(quick ? 128.0 : 256.0);

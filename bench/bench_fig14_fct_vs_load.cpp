@@ -16,12 +16,12 @@
 // without perturbing the CSV (OBSERVABILITY.md "Flight recorder").
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/env_knob.hpp"
 #include "exp/scenarios.hpp"
 #include "obs/manifest.hpp"
 
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   bench::banner("Figure 14 - small-flow FCT vs load",
                 "DCQCN best; TIMELY worst at high load; patched in between");
 
-  const char* quick = std::getenv("ECND_QUICK");
+  const bool quick = env::quick();
   const int flows = quick ? 800 : 3000;
 
   std::vector<SweepPoint> grid;
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   obs::RunManifest manifest("fig14");
   manifest.param("flows", flows)
       .param("seed", std::int64_t{20161212})
-      .param("quick", quick != nullptr)
+      .param("quick", quick)
       .param("loads", "0.2,0.4,0.6,0.8");
 
   Table table({"load", "protocol", "median (us)", "p90 (us)", "p99 (us)",

@@ -1,9 +1,9 @@
 // Figure 15: CDF of small-flow FCT at load 0.8 for the three protocols.
 
-#include <cstdlib>
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/env_knob.hpp"
 #include "core/stats.hpp"
 #include "exp/scenarios.hpp"
 
@@ -13,7 +13,7 @@ int main() {
   bench::banner("Figure 15 - CDF of small-flow FCT at load 0.8",
                 "TIMELY's tail stretches far beyond DCQCN's; patched between");
 
-  const char* quick = std::getenv("ECND_QUICK");
+  const bool quick = env::quick();
   const int flows = quick ? 800 : 3000;
 
   std::vector<std::vector<CdfPoint>> cdfs;

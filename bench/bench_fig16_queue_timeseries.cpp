@@ -10,11 +10,11 @@
 // it joined and the marking probability it saw at the bottleneck
 // (OBSERVABILITY.md "Flight recorder").
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "bench_common.hpp"
+#include "core/env_knob.hpp"
 #include "exp/scenarios.hpp"
 #include "obs/analyzers.hpp"
 #include "obs/manifest.hpp"
@@ -25,7 +25,7 @@ int main() {
   bench::banner("Figure 16 - bottleneck queue at load 0.8",
                 "TIMELY large + highly variable; DCQCN within the RED band");
 
-  const char* quick = std::getenv("ECND_QUICK");
+  const bool quick = env::quick();
   const int flows = quick ? 800 : 3000;
   const double kmax_bytes = 200e3;
 
@@ -34,7 +34,7 @@ int main() {
       .param("seed", std::int64_t{20161212})
       .param("load", 0.8)
       .param("kmax_kb", 200.0)
-      .param("quick", quick != nullptr);
+      .param("quick", quick);
 
   Table table({"protocol", "queue mean (KB)", "p50 (KB)", "std (KB)",
                "max (KB)", "time > Kmax(200KB) %"});

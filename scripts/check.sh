@@ -72,7 +72,8 @@ sanitize_suite() {
 
 # TSan is opt-in (--tsan-only): it needs its own build tree and roughly 5-15x
 # slower tests, but it is the tool that actually sees data races in the
-# parallel sweep engine — run it after touching src/core/parallel.*.
+# parallel sweep engine — run it after touching src/core/parallel.* or
+# src/obs/task_store.hpp.
 tsan_suite() {
   echo "== ThreadSanitizer build + tests =="
   build_suite build-tsan -DECND_TSAN=ON
@@ -121,6 +122,10 @@ t = json.load(open(f"{f}/trace.json"))
 assert isinstance(t["traceEvents"], list) and t["traceEvents"], "empty trace"
 ts = json.load(open(f"{f}/metrics_ts.json"))
 assert ts["schema"] == "ecnd-metrics-ts-v1" and ts["tasks"], "no snapshots"
+for task in ts["tasks"]:
+    # A task's first sample follows its first event: it must count it.
+    events = [s for s in task["series"] if s["name"] == "sim.events"]
+    assert events and events[0]["cum"][0] >= 1, f"task {task['task']}"
 assert "== end summary ==" in open(f"{f}/summary.txt").read(), "no summary"
 assert "par.sweep" in open(f"{x}/profile.folded").read(), "no sweep frames"
 assert open(f"{x}/profile.wall.folded").read(), "empty wall profile"

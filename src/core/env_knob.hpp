@@ -1,10 +1,10 @@
 #pragma once
 // The ECND_* environment knobs: the list of names the tree reads, and checked
 // parsing for the ones with a value format. A count (ECND_THREADS) must be
-// decimal digits only and at least 1; ECND_RUN_DETAIL must name a level. On
-// anything else one stderr line names the knob and the value, and the caller
-// keeps its default. Parsing uses std::from_chars: strtoul would accept "-1"
-// and wrap it to 2^64-1.
+// decimal digits only and at least 1; ECND_RUN_DETAIL must name a level;
+// ECND_QUICK must be 0 or 1. On anything else one stderr line names the knob
+// and the value, and the caller keeps its default. Parsing uses
+// std::from_chars: strtoul would accept "-1" and wrap it to 2^64-1.
 //
 // Header-only, like core/json_writer.hpp: obs code includes it but cannot
 // link anything compiled into ecnd_core.
@@ -80,6 +80,18 @@ inline std::optional<std::uint64_t> parse_count(const char* knob,
   warn_ignored(knob, value, "a whole number >= 1");
   return std::nullopt;
 }
+
+/// ECND_QUICK=`value` (nullptr when unset): "1" asks for the quick sizes;
+/// unset or "0" does not, and any other value is reported and does not.
+inline bool parse_quick(const char* value) {
+  if (value == nullptr || std::strcmp(value, "0") == 0) return false;
+  if (std::strcmp(value, "1") == 0) return true;
+  warn_ignored("ECND_QUICK", value, "0 or 1");
+  return false;
+}
+
+/// Whether ECND_QUICK asks the harnesses for their quick sizes.
+inline bool quick() { return parse_quick(std::getenv("ECND_QUICK")); }
 
 /// Knob `knob` read as a count; nullopt when unset or invalid.
 inline std::optional<std::uint64_t> count(const char* knob) {

@@ -23,7 +23,7 @@ double seconds_since(Clock::time_point start) {
 }
 
 // Deterministic task counter; the sweep's wall-clock accounting is the
-// returned SweepTiming. Worker shards merge at thread exit, inside the sweep.
+// returned SweepTiming. Each task counts into its own metric shard.
 const obs::Counter kTasks = obs::counter("par.tasks");
 // Fault accounting: every attempt that threw, retries granted by a
 // FaultPolicy, and tasks that stayed failed after their last attempt.

@@ -144,39 +144,6 @@ double History::value(std::size_t var, double t) const {
   return vlo + w * (vhi - vlo);
 }
 
-std::span<const double> History::values(double t) const {
-  assert(!times_.empty());
-  obs::ProfScope lookup_scope("fluid.history");
-  kDelayedLookups.add();
-  const std::size_t n = times_.size();
-  // Clamped reads return the stored row directly — zero copy. Deep-covered
-  // variables may still have older samples in the side store.
-  if (t <= times_[start_]) {
-    if (deep_count_ > 0 && deep_start_ < deep_times_.size()) {
-      return deep_clamped_range(t, 0, dim_);
-    }
-    kLookupClamped.add();
-    return {states_.data() + start_ * dim_, dim_};
-  }
-  if (t >= times_[n - 1]) {
-    kLookupClamped.add();
-    return {states_.data() + (n - 1) * dim_, dim_};
-  }
-  const std::size_t hi = locate(t);
-  const std::size_t lo = hi - 1;
-  const double span = times_[hi] - times_[lo];
-  const double* row_lo = states_.data() + lo * dim_;
-  const double* row_hi = states_.data() + hi * dim_;
-  if (span <= 0.0) return {row_hi, dim_};
-  const double w = (t - times_[lo]) / span;
-  batch_buf_.resize(dim_);
-  for (std::size_t v = 0; v < dim_; ++v) {
-    // Same expression as value(): results are bit-identical either way.
-    batch_buf_[v] = row_lo[v] + w * (row_hi[v] - row_lo[v]);
-  }
-  return {batch_buf_.data(), dim_};
-}
-
 std::span<const double> History::values(double t, std::size_t var_begin,
                                         std::size_t var_count) const {
   assert(!times_.empty());

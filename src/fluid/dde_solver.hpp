@@ -57,18 +57,13 @@ class History {
   /// to the recorded span).
   double value(std::size_t var, double t) const;
 
-  /// All dim() state variables at time t — one history search instead of
-  /// dim() of them, for right-hand sides that read many variables at the
-  /// same delayed time. The returned span is valid until the next values()
-  /// call, append() or trim_before() on this History.
-  std::span<const double> values(double t) const;
-
   /// The contiguous variable block [var_begin, var_begin + var_count) at
-  /// time t — the ranged form of values() for struct-of-arrays state layouts
-  /// where a right-hand side needs one block (e.g. all delayed rates) out of
-  /// a wide row: one history search, var_count interpolations instead of
-  /// dim(). Element j is bit-identical to value(var_begin + j, t). Same
-  /// lifetime rules as values().
+  /// time t, for struct-of-arrays state layouts where a right-hand side
+  /// needs one block (e.g. all delayed rates) out of a wide row: one history
+  /// search, var_count interpolations instead of var_count searches. Element
+  /// j is bit-identical to value(var_begin + j, t). The returned span is
+  /// valid until the next values() call, append() or trim_before() on this
+  /// History.
   std::span<const double> values(double t, std::size_t var_begin,
                                  std::size_t var_count) const;
 

@@ -22,6 +22,9 @@
 #include "obs/profile.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
+#if !defined(ECND_OBS_DISABLED)
+#include "obs/task_store.hpp"  // needs detail::current_task, absent when OFF
+#endif
 
 namespace ecnd::obs {
 
@@ -47,13 +50,13 @@ enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
 struct MetricInfo {
   std::string name;
   Kind kind;
-  std::uint32_t cell;    // first cell in the shard/global layout
+  std::uint32_t cell;    // first cell in a task's shard
   std::uint32_t ncells;  // 1, or 2 + kHistogramBuckets for histograms
 };
 
-/// Global metric table + accumulator. Leaked on purpose: thread shards merge
-/// into it from thread-exit destructors whose order vs static destruction is
-/// unknowable.
+/// Global metric table. Append-only, so a metric's registration index names
+/// it for good (metrics_ts uses it as the series id). Leaked on purpose:
+/// exports run at exit.
 class Registry {
  public:
   static Registry& instance() {
@@ -77,7 +80,6 @@ class Registry {
                     static_cast<std::uint32_t>(total_cells_), ncells};
     metrics_.push_back(info);
     total_cells_ += ncells;
-    global_.resize(total_cells_, 0);
     return info.cell;
   }
 
@@ -86,71 +88,66 @@ class Registry {
     return total_cells_;
   }
 
-  std::size_t metric_count() const {
+  std::vector<MetricInfo> metrics() const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    return metrics_.size();
+    return metrics_;
   }
 
-  /// Fold a shard into the global accumulator and zero it. Merge operators
-  /// are commutative, so the result is independent of merge order.
-  void merge_and_zero(std::vector<std::uint64_t>& shard) {
+  /// Each counter's and gauge's cell in `cells`, by registration index;
+  /// histograms and cells past the end of `cells` read 0.
+  std::vector<std::uint64_t> scalars(
+      const std::vector<std::uint64_t>& cells) const {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const MetricInfo& m : metrics_) {
-      for (std::uint32_t c = m.cell; c < m.cell + m.ncells; ++c) {
-        if (c >= shard.size()) break;
-        if (m.kind == Kind::kGauge) {
-          if (shard[c] > global_[c]) global_[c] = shard[c];
-        } else {
-          global_[c] += shard[c];
-        }
-        shard[c] = 0;
+    std::vector<std::uint64_t> row(metrics_.size(), 0);
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+      const MetricInfo& m = metrics_[i];
+      if (m.kind != Kind::kHistogram && m.cell < cells.size()) {
+        row[i] = cells[m.cell];
       }
     }
-  }
-
-  void zero_global() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::uint64_t& v : global_) v = 0;
-  }
-
-  /// Snapshot of (metric table, merged values) for export.
-  void snapshot(std::vector<MetricInfo>& metrics,
-                std::vector<std::uint64_t>& values) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    metrics = metrics_;
-    values = global_;
+    return row;
   }
 
  private:
   mutable std::mutex mutex_;
   std::vector<MetricInfo> metrics_;
-  std::vector<std::uint64_t> global_;
   std::size_t total_cells_ = 0;
 };
 
-/// Per-thread shard storage. The cells live on the heap behind a trivially-
-/// destructible TLS pointer; a separate reaper object merges them into the
-/// registry and nulls the pointer when the thread exits. The split matters on
-/// the main thread: glibc runs thread_local destructors *before* atexit
-/// handlers, so export_at_exit must find either live cells or a null pointer
-/// — never a destroyed vector. Both destruction orders are safe: whichever of
-/// {reaper, atexit export} runs first merges, the other sees zeros/null.
-thread_local std::vector<std::uint64_t>* t_cells = nullptr;
-
-struct ShardReaper {
-  ~ShardReaper() {
-    if (t_cells != nullptr) {
-      Registry::instance().merge_and_zero(*t_cells);
-      delete t_cells;
-      t_cells = nullptr;
-    }
-  }
+/// One sweep task's cells, in the registry's layout (grown on demand).
+struct TaskCells {
+  explicit TaskCells(std::size_t /*capacity*/) {}
+  std::vector<std::uint64_t> cells;
 };
 
-thread_local ShardReaper t_reaper;
+using CellStore = detail::TaskStore<TaskCells>;
 
-void merge_calling_thread() {
-  if (t_cells != nullptr) Registry::instance().merge_and_zero(*t_cells);
+/// The calling thread's current-task cells, bound on first use, so the hot
+/// path never looks the task up in the store. TaskScope entry and exit and
+/// reset() unbind it. reset() frees every shard but unbinds only its caller,
+/// which is safe because it runs with no sweep in flight: sweep workers bind
+/// only inside a TaskScope, whose exit unbinds them.
+thread_local std::vector<std::uint64_t>* t_cells = nullptr;
+
+/// The metric table and every task's cells merged with the kind's operator:
+/// counters and histogram cells add, gauges take the max. The operators
+/// commute, so the result is a function of the task grid alone. Only call
+/// while no sweep is in flight.
+void merged(std::vector<MetricInfo>& metrics,
+            std::vector<std::uint64_t>& values) {
+  metrics = Registry::instance().metrics();
+  values.assign(
+      metrics.empty() ? 0 : metrics.back().cell + metrics.back().ncells, 0);
+  for (const auto& [task, shard] : CellStore::instance().snapshot()) {
+    const std::vector<std::uint64_t>& cells = shard->cells;
+    for (const MetricInfo& m : metrics) {
+      for (std::uint32_t c = m.cell; c < m.cell + m.ncells && c < cells.size();
+           ++c) {
+        values[c] = m.kind == Kind::kGauge ? std::max(values[c], cells[c])
+                                           : values[c] + cells[c];
+      }
+    }
+  }
 }
 
 /// Percentile from log2 buckets with Prometheus-style linear interpolation
@@ -189,34 +186,27 @@ std::set<std::string>& intern_table() {
 namespace detail {
 
 std::uint64_t* cells(std::uint32_t index) {
-  if (t_cells == nullptr) {
-    t_cells = new std::vector<std::uint64_t>;
-    (void)t_reaper;  // force the reaper's construction (and thus destruction)
+  if (t_cells == nullptr || index >= t_cells->size()) {
+    t_cells = &CellStore::instance().current().cells;
+    if (index >= t_cells->size()) {
+      t_cells->resize(Registry::instance().total_cells(), 0);
+    }
   }
-  std::vector<std::uint64_t>& c = *t_cells;
-  if (index >= c.size()) c.resize(Registry::instance().total_cells(), 0);
-  return c.data() + index;
+  return t_cells->data() + index;
 }
 
-std::vector<SnapshotRow> snapshot_rows() {
-  std::vector<MetricInfo> metrics;
-  std::vector<std::uint64_t> values;
-  Registry::instance().snapshot(metrics, values);
-  std::vector<SnapshotRow> rows;
-  rows.reserve(metrics.size());
-  for (const MetricInfo& m : metrics) {
-    rows.push_back({m.name, static_cast<std::uint8_t>(m.kind), m.cell});
+void unbind_cells() { t_cells = nullptr; }
+
+std::vector<MetricRow> metric_rows() {
+  std::vector<MetricRow> rows;
+  for (const MetricInfo& m : Registry::instance().metrics()) {
+    rows.push_back({m.name, static_cast<std::uint8_t>(m.kind)});
   }
   return rows;
 }
 
-std::size_t metric_count() { return Registry::instance().metric_count(); }
-
-void merge_and_zero_calling_thread() { merge_calling_thread(); }
-
-std::uint64_t read_thread_cell(std::uint32_t index) {
-  if (t_cells == nullptr || index >= t_cells->size()) return 0;
-  return (*t_cells)[index];
+std::vector<std::uint64_t> task_scalars() {
+  return Registry::instance().scalars(CellStore::instance().current().cells);
 }
 
 }  // namespace detail
@@ -243,25 +233,10 @@ Histogram histogram(std::string_view name) {
       name, Kind::kHistogram, 2 + kHistogramBuckets));
 }
 
-std::optional<double> histogram_percentile(std::string_view name, double q) {
-  merge_calling_thread();
-  std::vector<MetricInfo> metrics;
-  std::vector<std::uint64_t> values;
-  Registry::instance().snapshot(metrics, values);
-  for (const MetricInfo& m : metrics) {
-    if (m.name != name || m.kind != Kind::kHistogram) continue;
-    const std::uint64_t* base = values.data() + m.cell;
-    if (base[0] == 0) return std::nullopt;
-    return bucket_percentile(base + 2, base[0], q);
-  }
-  return std::nullopt;
-}
-
 void dump_metrics_json(std::ostream& out) {
-  merge_calling_thread();
   std::vector<MetricInfo> metrics;
   std::vector<std::uint64_t> values;
-  Registry::instance().snapshot(metrics, values);
+  merged(metrics, values);
 
   // Sort by name within each kind: registration order depends on which code
   // ran first (and on which thread), the dump must not.
@@ -314,10 +289,9 @@ void dump_metrics_json(std::ostream& out) {
 }
 
 void print_summary(std::ostream& out) {
-  merge_calling_thread();
   std::vector<MetricInfo> metrics;
   std::vector<std::uint64_t> values;
-  Registry::instance().snapshot(metrics, values);
+  merged(metrics, values);
 
   std::map<std::string, const MetricInfo*> by_name;
   for (const MetricInfo& m : metrics) by_name[m.name] = &m;
@@ -355,8 +329,8 @@ void print_summary(std::ostream& out) {
 }
 
 void reset() {
-  merge_calling_thread();
-  Registry::instance().zero_global();
+  CellStore::instance().clear();
+  detail::unbind_cells();
   detail::trace_reset();
   detail::flight_reset();
   detail::snapshot_reset();
@@ -419,7 +393,7 @@ struct RunDirInit {
     g_run_dir = dir;
     g_run_detail = level;
     // Every level counts and samples: the manifest embeds a digest of the
-    // metrics registry, and the sampler records shard counts.
+    // metrics registry, and the sampler reads each task's counts.
     constexpr auto relaxed = std::memory_order_relaxed;
     detail::g_metrics_on.store(true, relaxed);
     detail::g_snapshot_on.store(true, relaxed);

@@ -5,15 +5,17 @@
 //
 // Design constraints (see OBSERVABILITY.md):
 //   * Hot-path increments are cheap: one relaxed atomic load (the global
-//     enable flag) and, when enabled, an add into a per-thread shard cell.
-//     No locks, no allocation, no RNG — instrumentation never perturbs a
-//     seeded run's random streams or its stdout.
-//   * Per-thread sharding composes with core::parallel: every worker thread
-//     accumulates into its own shard and merges it into the global
-//     accumulator when the thread exits (the sweep engine joins its workers
-//     before returning). All merge operators are commutative — counters and
-//     histogram cells add, gauges take the max — so the merged totals are a
-//     function of the task grid, never of the schedule or ECND_THREADS.
+//     enable flag) and, when enabled, an add into the current task's shard
+//     through a cached thread-local pointer. No locks, no allocation, no RNG
+//     — instrumentation never perturbs a seeded run's random streams or its
+//     stdout.
+//   * Per-task sharding composes with core::parallel: every sweep task
+//     (obs::TaskScope) counts into its own shard, kept in the per-task store
+//     beside the trace, flight and snapshot buffers. Exports merge the
+//     shards with commutative operators — counters and histogram cells add,
+//     gauges take the max — so the totals, like the sampler's per-task
+//     series, are a function of the task grid, never of the schedule or
+//     ECND_THREADS.
 //   * Deterministic output: dump_metrics_json() sorts metrics by name, and
 //     every metric is a pure function of the simulated scenario (wall-clock
 //     time lives only in the profiler, obs/profile.hpp), so the dump is
@@ -28,10 +30,8 @@
 // summary.txt.
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,31 +50,25 @@ inline constexpr int kHistogramBuckets = 64;
 
 namespace detail {
 extern std::atomic<bool> g_metrics_on;
-/// Reference to the calling thread's shard cell `index` (shard grows to the
-/// registry's current layout on demand).
+/// Cell `index` of the calling thread's current-task shard (the shard grows
+/// to the registry's current layout on demand).
 std::uint64_t* cells(std::uint32_t index);
+/// Forget the cached shard pointer: the calling thread's task changed.
+void unbind_cells();
 
 // -- registry hooks for the sim-time snapshot sampler (obs/snapshot.cpp) --
 
-/// One registered metric and where its first cell sits in a shard. Name is a
-/// copy: the registry's own strings can move when its table grows.
-struct SnapshotRow {
+/// One registered metric. Its index in metric_rows() is its registration
+/// index, which never changes (the table is append-only).
+struct MetricRow {
   std::string name;
   std::uint8_t kind;  ///< 0 counter, 1 gauge, 2 histogram
-  std::uint32_t cell;
 };
 /// Copy of the registry's metric table, registration order.
-std::vector<SnapshotRow> snapshot_rows();
-/// Registered-metric count: a cheap generation stamp for caching
-/// snapshot_rows() (the table is append-only).
-std::size_t metric_count();
-/// Fold the calling thread's shard into the global accumulator and zero it,
-/// so subsequent shard reads see only work done by this thread afterwards.
-/// Totals are unchanged (merges are commutative and happen exactly once).
-void merge_and_zero_calling_thread();
-/// Read cell `index` of the calling thread's shard without growing it
-/// (0 when the shard has no such cell yet).
-std::uint64_t read_thread_cell(std::uint32_t index);
+std::vector<MetricRow> metric_rows();
+/// The calling thread's current task: every counter's and gauge's value by
+/// registration index (histograms read 0).
+std::vector<std::uint64_t> task_scalars();
 }  // namespace detail
 
 /// True when some consumer (env knob or set_metrics_enabled) wants counts.
@@ -86,9 +80,9 @@ inline bool metrics_enabled() {
 /// startup; this flips the same flag afterwards.
 void set_metrics_enabled(bool on);
 
-/// Zero every metric value (global accumulator + the calling thread's shard)
-/// and discard all trace buffers. Registrations (names/ids) survive. Only
-/// call while no sweep is in flight.
+/// Zero every metric value (every task's shard) and discard all trace,
+/// flight and snapshot buffers. Registrations (names/ids) survive. Only call
+/// while no sweep is in flight.
 void reset();
 
 /// Intern a dynamically-built string (e.g. a port name) into a process-wide
@@ -155,16 +149,10 @@ Counter counter(std::string_view name);
 Gauge gauge(std::string_view name);
 Histogram histogram(std::string_view name);
 
-/// Registry-side percentile over a histogram's exported log2 buckets
-/// (q in [0, 1]): Prometheus-style linear interpolation inside the bucket
-/// where the cumulative count crosses q * count, so manifests and the
-/// summary table can report p50/p99 instead of only bucket counts. Not a
-/// hot-path call (merges the calling thread's shard and snapshots the
-/// registry). nullopt when `name` is not a histogram or has no samples.
-std::optional<double> histogram_percentile(std::string_view name, double q);
-
-/// Merge the calling thread's shard and write every metric as JSON, sorted
-/// by name.
+/// Merge every task's shard and write every metric as JSON, sorted by name.
+/// A histogram carries count, sum, its non-empty buckets and p50/p99,
+/// interpolated linearly inside the bucket where the cumulative count
+/// crosses q * count (null when it recorded nothing).
 void dump_metrics_json(std::ostream& out);
 
 /// Human-readable end-of-run table (counters, gauges, histograms with
@@ -199,9 +187,6 @@ class Histogram {
 inline Counter counter(std::string_view) { return {}; }
 inline Gauge gauge(std::string_view) { return {}; }
 inline Histogram histogram(std::string_view) { return {}; }
-inline std::optional<double> histogram_percentile(std::string_view, double) {
-  return std::nullopt;
-}
 
 void dump_metrics_json(std::ostream& out);
 void print_summary(std::ostream& out);

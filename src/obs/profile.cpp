@@ -35,7 +35,6 @@ struct Node {
 /// the owner joined (export) or between sweeps (reset). Node 0 is the root.
 struct ThreadTree {
   std::vector<Node> nodes;
-  std::uint64_t depth_dropped = 0;
   ThreadTree() { nodes.push_back({"", kNone, kNone, kNone, 0, 0}); }
 };
 
@@ -139,11 +138,8 @@ void flatten(const Merged& node, int depth, std::vector<ProfileNode>& out) {
 namespace detail {
 
 std::uint32_t prof_enter(const char* name, bool detach) {
+  if (t_depth >= kMaxDepth) return kInert;
   ThreadTree& tr = tree();
-  if (t_depth >= kMaxDepth) {
-    ++tr.depth_dropped;
-    return kInert;
-  }
   const std::uint32_t parent = detach ? 0 : t_cur;
   std::uint32_t child = tr.nodes[parent].first_child;
   std::uint32_t last = kNone;
@@ -179,20 +175,11 @@ void prof_exit(std::uint32_t token, std::uint64_t ns) {
 
 void prof_reset() {
   for (ThreadTree* tr : ProfStore::instance().snapshot()) {
-    tr->depth_dropped = 0;
     for (Node& n : tr->nodes) {
       n.hits = 0;
       n.total_ns = 0;
     }
   }
-}
-
-std::uint64_t prof_depth_dropped() {
-  std::uint64_t total = 0;
-  for (const ThreadTree* tr : ProfStore::instance().snapshot()) {
-    total += tr->depth_dropped;
-  }
-  return total;
 }
 
 }  // namespace detail

@@ -65,8 +65,6 @@ void prof_exit(std::uint32_t token, std::uint64_t ns);
 /// Zero every node's hits and ns but keep the tree structure (thread-local
 /// cursors stay valid). obs::reset's profiler half.
 void prof_reset();
-/// Frames dropped to the depth cap (diagnostics).
-std::uint64_t prof_depth_dropped();
 }  // namespace detail
 
 inline bool profile_enabled() {

@@ -7,14 +7,12 @@
 // diverged (ecnd-diff's metrics_ts mode).
 //
 // Determinism contract (same stance as the flight recorder):
-//   * Samples are keyed by the obs::TaskScope task index and record only
-//     work done by that task. On a task's first tick the calling thread's
-//     shard is folded into the global accumulator and zeroed (commutative,
-//     totals unchanged), so subsequent shard reads are the task's own counts
-//     — a pure function of the scenario, never of ECND_THREADS or the
-//     schedule. A task's series covers its first-tick..last-tick window.
-//     When a later sweep reuses the index, its samples add to what the
-//     earlier task accrued from its first tick to its TaskScope's end.
+//   * Samples are keyed by the obs::TaskScope task index, and each reads
+//     that task's own metric shard (obs/metrics.hpp): a series is the task's
+//     cumulative counts, everything it counted up to the sample included —
+//     a pure function of the scenario, never of ECND_THREADS or the
+//     schedule. When a later sweep reuses the index, its samples continue
+//     from what the earlier task counted.
 //   * Sample instants are sim-time threshold crossings (t >= next multiple
 //     of the interval), evaluated against the engine-reported sim clock —
 //     identical in every schedule.
@@ -46,8 +44,6 @@ inline constexpr double kDefaultSnapshotInterval = 1e-3;
 namespace detail {
 extern std::atomic<bool> g_snapshot_on;
 void snapshot_sample(double t_s);
-/// TaskScope end: credit the task with its shard counts, zero the shard.
-void snapshot_task_end();
 /// Drop every buffer (obs::reset's snapshot half).
 void snapshot_reset();
 }  // namespace detail
@@ -57,7 +53,7 @@ inline bool snapshot_enabled() {
 }
 
 /// Programmatic override (tests). A run directory arms this at startup.
-/// Enabling also arms metric counting (the sampler records shard counts).
+/// Enabling also arms metric counting (the sampler reads the task's counts).
 void set_snapshot_enabled(bool on);
 
 /// Sampling interval in sim seconds (clamped to > 0).
@@ -71,7 +67,7 @@ inline void snapshot_tick(double t_s) {
 }
 
 /// Write the collected series as ecnd-metrics-ts-v1 JSON (see format notes
-/// above). Merges nothing into the registry beyond what sampling already did.
+/// above).
 void write_metrics_ts_json(std::ostream& out);
 
 #else  // ECND_OBS_DISABLED

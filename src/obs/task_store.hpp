@@ -1,8 +1,8 @@
 #pragma once
-// The per-task record store shared by the tracer, the flight recorder and
-// the snapshot sampler. Buffers are keyed by the obs::TaskScope index, so an
-// export walks tasks in index order and depends only on the sweep grid,
-// never on ECND_THREADS or scheduling.
+// The per-task record store shared by the metrics registry, the tracer, the
+// flight recorder and the snapshot sampler. Buffers are keyed by the
+// obs::TaskScope index, so an export walks tasks in index order and depends
+// only on the sweep grid, never on ECND_THREADS or scheduling.
 //
 // Creating a buffer is rare (once per task) and locked; records go through a
 // per-thread cached pointer. A buffer is only ever written by the thread
@@ -25,7 +25,8 @@
 namespace ecnd::obs::detail {
 
 /// One store per Buffer type (the thread-local cache is per type). Buffer is
-/// constructed from the store's capacity and reports dropped().
+/// constructed from the store's capacity; dropped_total() needs its
+/// dropped().
 template <typename Buffer>
 class TaskStore {
  public:
@@ -34,34 +35,15 @@ class TaskStore {
     return *store;
   }
 
-  /// The calling thread's buffer for its current task. On a cache miss
-  /// `on_switch(prev)` runs first; `prev` is the buffer this thread used
-  /// last when it belongs to the current generation, else nullptr.
-  template <typename OnSwitch>
-  Buffer& current(OnSwitch&& on_switch) {
+  /// The calling thread's buffer for its current task.
+  Buffer& current() {
     Cache& c = cache();
     const std::uint32_t task = current_task();
     const std::uint64_t gen = generation_.load(std::memory_order_relaxed);
     if (c.buffer == nullptr || c.task != task || c.gen != gen) {
-      on_switch(c.gen == gen ? c.buffer : nullptr);
       c = {buffer_for(task), task, gen};
     }
     return *c.buffer;
-  }
-  Buffer& current() {
-    return current([](Buffer*) {});
-  }
-
-  /// The calling thread leaves its task: hand the task's cached buffer to
-  /// `on_end` and forget it, so the next record switches with no `prev`.
-  template <typename OnEnd>
-  void end_task(OnEnd&& on_end) {
-    Cache& c = cache();
-    if (c.buffer != nullptr && c.task == current_task() &&
-        c.gen == generation_.load(std::memory_order_relaxed)) {
-      on_end(*c.buffer);
-      c = {};
-    }
   }
 
   /// Capacity handed to buffers created after the call (clamped to >= 1).

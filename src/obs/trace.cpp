@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "core/json_writer.hpp"
-#include "obs/snapshot.hpp"
+#include "obs/metrics.hpp"
 #include "obs/task_store.hpp"
 
 namespace ecnd::obs {
@@ -86,11 +86,15 @@ void set_trace_capacity(std::size_t events) {
   TraceStore::instance().set_capacity(events);
 }
 
-TaskScope::TaskScope(std::uint32_t task) : prev_(t_task) { t_task = task; }
+// The metric cells are cached per thread: a new task must rebind them.
+TaskScope::TaskScope(std::uint32_t task) : prev_(t_task) {
+  t_task = task;
+  detail::unbind_cells();
+}
 
 TaskScope::~TaskScope() {
-  if (snapshot_enabled()) detail::snapshot_task_end();
   t_task = prev_;
+  detail::unbind_cells();
 }
 
 std::uint64_t trace_dropped_total() {

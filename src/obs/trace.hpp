@@ -40,7 +40,7 @@ void trace_push(const char* name, char phase, double ts_us, double value,
 /// Drop every buffer (obs::reset's trace half).
 void trace_reset();
 /// The task index the calling thread currently records under (TaskScope TLS;
-/// 0 outside any scope). The flight recorder keys its buffers by this too.
+/// 0 outside any scope). Every per-task store keys its buffers by this.
 std::uint32_t current_task();
 }  // namespace detail
 
@@ -56,9 +56,9 @@ void set_trace_enabled(bool on);
 /// call; reset() drops existing buffers so tests can shrink the ring.
 void set_trace_capacity(std::size_t events);
 
-/// Route this thread's subsequent per-task records (trace events, flight
-/// records, metric snapshots) to task `task` (RAII; restores the previous
-/// task on destruction). The parallel sweep engine installs
+/// Route this thread's subsequent per-task records (metric counts, trace
+/// events, flight records, metric snapshots) to task `task` (RAII; restores
+/// the previous task on destruction). The parallel sweep engine installs
 /// TaskScope(grid_index + 1) around every task; 0 is the main-thread default.
 class TaskScope {
  public:

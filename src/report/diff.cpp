@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <map>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -34,30 +33,9 @@ double rel_change(double a, double b) {
   return std::fabs(b - a) / denom;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error(path + ": cannot open");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-bool starts_with(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-/// First non-whitespace character decides JSON vs journal text.
-char first_glyph(const std::string& text) {
-  for (const char c : text) {
-    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return c;
-  }
-  return '\0';
-}
-
 struct LoadedArtifact {
   std::string kind;
-  std::string text;    // raw bytes (journal)
-  Json json;           // parsed document (JSON kinds)
+  Json json;
 };
 
 std::string kind_from_schema(const std::string& schema) {
@@ -69,15 +47,7 @@ std::string kind_from_schema(const std::string& schema) {
 
 LoadedArtifact load_artifact(const std::string& path) {
   LoadedArtifact art;
-  art.text = read_file(path);
-  if (starts_with(art.text, "ecnd1 ")) {
-    art.kind = "journal";
-    return art;
-  }
-  if (first_glyph(art.text) != '{') {
-    throw std::runtime_error(path + ": neither JSON nor an ecnd1 journal");
-  }
-  art.json = Json::parse(art.text);
+  art.json = Json::parse_file(path);
   const auto schema = art.json.get_string("schema");
   if (!schema) throw std::runtime_error(path + ": no \"schema\" field");
   art.kind = kind_from_schema(*schema);
@@ -272,7 +242,7 @@ const Json* series_column(const Json& series) {
   return col != nullptr ? col : series.get("values");
 }
 
-void diff_series(DiffResult& out, std::uint64_t task, const std::string& name,
+void diff_series(DiffResult& out, std::uint32_t task, const std::string& name,
                  const Json& times_a, const Json& sa, const Json& sb) {
   const Json* ca = series_column(sa);
   const Json* cb = series_column(sb);
@@ -298,6 +268,29 @@ void diff_series(DiffResult& out, std::uint64_t task, const std::string& name,
   }
 }
 
+/// The tasks of a metrics_ts file by id. An id is an obs::TaskScope index:
+/// an integer in [0, 2^32) that appears once per file. Anything else makes
+/// the file unparseable, since pairing tasks across files needs exact ids.
+std::map<std::uint32_t, const Json*> tasks_by_id(const Json& doc,
+                                                 const std::string& path) {
+  std::map<std::uint32_t, const Json*> tasks;
+  const Json* arr = doc.get("tasks");
+  if (arr == nullptr || !arr->is_array()) return tasks;
+  for (const Json& t : arr->array()) {
+    const std::optional<double> id = t.get_number("task");
+    if (!id || !(*id >= 0.0 && *id < 4294967296.0 && *id == std::floor(*id))) {
+      throw std::runtime_error(path +
+                               ": a task id must be an integer in [0, 2^32)");
+    }
+    const auto task = static_cast<std::uint32_t>(*id);
+    if (!tasks.emplace(task, &t).second) {
+      throw std::runtime_error(path + ": task " + std::to_string(task) +
+                               " appears twice");
+    }
+  }
+  return tasks;
+}
+
 void diff_metrics_ts(DiffResult& out, const Json& a, const Json& b) {
   const auto ia = a.get_number("interval_s");
   const auto ib = b.get_number("interval_s");
@@ -306,20 +299,8 @@ void diff_metrics_ts(DiffResult& out, const Json& a, const Json& b) {
                    "sampling intervals differ; timestamps are not comparable");
     return;
   }
-  // Index tasks by id.
-  std::map<std::uint64_t, const Json*> tasks_a, tasks_b;
-  const Json* arr_a = a.get("tasks");
-  const Json* arr_b = b.get("tasks");
-  if (arr_a != nullptr && arr_a->is_array()) {
-    for (const Json& t : arr_a->array()) {
-      tasks_a[static_cast<std::uint64_t>(t.get_number("task").value_or(0))] = &t;
-    }
-  }
-  if (arr_b != nullptr && arr_b->is_array()) {
-    for (const Json& t : arr_b->array()) {
-      tasks_b[static_cast<std::uint64_t>(t.get_number("task").value_or(0))] = &t;
-    }
-  }
+  const auto tasks_a = tasks_by_id(a, out.path_a);
+  const auto tasks_b = tasks_by_id(b, out.path_b);
   for (const auto& [id, ta] : tasks_a) {
     const auto it = tasks_b.find(id);
     if (it == tasks_b.end()) {
@@ -361,67 +342,6 @@ void diff_metrics_ts(DiffResult& out, const Json& a, const Json& b) {
   }
 }
 
-// -- journal ----------------------------------------------------------------
-
-struct JournalCell {
-  std::string status;   // "done" | "quarantined"
-  std::string payload;  // rest of the line
-};
-
-std::map<std::string, JournalCell> parse_journal(const std::string& text,
-                                                 std::uint64_t& skipped) {
-  std::map<std::string, JournalCell> cells;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    // ecnd1 <16-hex key> done|quarantined <payload>
-    std::istringstream fields(line);
-    std::string magic, key, status;
-    if (!(fields >> magic >> key >> status) || magic != "ecnd1" ||
-        key.size() != 16 ||
-        (status != "done" && status != "quarantined")) {
-      ++skipped;  // torn tail or foreign line: the loader discipline
-      continue;
-    }
-    std::string payload;
-    std::getline(fields, payload);
-    if (!payload.empty() && payload.front() == ' ') payload.erase(0, 1);
-    cells[key] = {status, payload};  // last record wins, like the loader
-  }
-  return cells;
-}
-
-void diff_journal(DiffResult& out, const std::string& text_a,
-                  const std::string& text_b) {
-  auto cells_a = parse_journal(text_a, out.skipped_lines);
-  auto cells_b = parse_journal(text_b, out.skipped_lines);
-  out.context.push_back("A: " + std::to_string(cells_a.size()) + " cells, B: " +
-                        std::to_string(cells_b.size()) + " cells");
-  for (const auto& [key, ca] : cells_a) {
-    const auto it = cells_b.find(key);
-    if (it == cells_b.end()) {
-      out.entries.push_back({DiffSeverity::kNumeric, key, ca.status, "—", 1.0,
-                             "cell only in A"});
-      continue;
-    }
-    const JournalCell& cb = it->second;
-    if (ca.status != cb.status) {
-      out.entries.push_back({DiffSeverity::kNumeric, key, ca.status, cb.status,
-                             1.0, "quarantine flipped"});
-    } else if (ca.payload != cb.payload) {
-      out.entries.push_back({DiffSeverity::kNumeric, key, ca.status, cb.status,
-                             0.5, "same status, payload differs"});
-    }
-  }
-  for (const auto& [key, cb] : cells_b) {
-    if (cells_a.find(key) == cells_a.end()) {
-      out.entries.push_back({DiffSeverity::kNumeric, key, "—", cb.status, 1.0,
-                             "cell only in B"});
-    }
-  }
-}
-
 }  // namespace
 
 DiffSeverity DiffResult::severity() const {
@@ -453,9 +373,7 @@ DiffResult diff_artifacts(const std::string& path_a, const std::string& path_b,
     return out;
   }
   out.kind = a.kind;
-  if (a.kind == "journal") {
-    diff_journal(out, a.text, b.text);
-  } else if (a.kind == "manifest") {
+  if (a.kind == "manifest") {
     diff_manifest(out, a.json, b.json);
   } else if (a.kind == "metrics") {
     diff_metrics(out, a.json, b.json);
@@ -475,10 +393,6 @@ void write_markdown(std::ostream& out, const DiffResult& result) {
         << result.suppressed << " drift(s) suppressed)\n";
   }
   for (const std::string& line : result.context) out << "- " << line << "\n";
-  if (result.skipped_lines > 0) {
-    out << "- skipped " << result.skipped_lines
-        << " unparseable line(s) (torn tail tolerance)\n";
-  }
   out << "\n";
   if (result.entries.empty()) {
     out << "No differences";

@@ -3,13 +3,12 @@
 //
 // Takes two run artifacts of the same kind and reduces "something changed
 // between these runs" to a ranked list of per-key differences. Understands
-// the run artifacts the tree emits — run manifests (ecnd-manifest-v1),
-// metric dumps (ecnd-metrics-v1), sim-time metric snapshots
+// the JSON run artifacts the tree emits: run manifests (ecnd-manifest-v1),
+// metric dumps (ecnd-metrics-v1) and sim-time metric snapshots
 // (ecnd-metrics-ts-v1, where a difference localizes to the first divergent
-// sim-timestamp per series) — plus the append-only sweep journal
-// (core/journal.hpp `ecnd1` lines). Unparseable journal lines are skipped
-// with a count, never fatal: a torn tail is the format's documented crash
-// mode.
+// sim-timestamp per series). A snapshot's tasks pair up by id, so an id
+// that is not an integer in [0, 2^32), or that repeats within a file, is a
+// parse error.
 //
 // Severity model (mirrors ecnd-report's exit semantics):
 //   kNone       — artifacts are equivalent (after --tolerance suppression)
@@ -45,20 +44,19 @@ struct DiffEntry {
 };
 
 struct DiffResult {
-  std::string kind;  ///< "manifest", "metrics", "metrics_ts", "journal"
+  std::string kind;  ///< "manifest", "metrics", "metrics_ts"
   std::string path_a;
   std::string path_b;
   double tolerance = 0.0;
   std::vector<DiffEntry> entries;  ///< structural first, then |rel| descending
   std::uint64_t suppressed = 0;    ///< numeric drifts under the tolerance
-  std::uint64_t skipped_lines = 0; ///< unparseable journal lines
-  std::vector<std::string> context;  ///< header facts (digests, cell counts)
+  std::vector<std::string> context;  ///< header facts (digest mismatches)
 
   DiffSeverity severity() const;
 };
 
-/// Classify a file by schema field / line shape: returns one of the kind
-/// strings above. Throws std::runtime_error for unreadable or unrecognized
+/// Classify a JSON file by its schema field: returns one of the kind strings
+/// above. Throws std::runtime_error for unreadable, non-JSON or unrecognized
 /// files (the CLI maps that to exit 2).
 std::string detect_artifact(const std::string& path);
 

@@ -3,7 +3,7 @@
 //   ecnd-diff [--tolerance <rel>] [--out <path>] <artifact-A> <artifact-B>
 //
 // Artifact kinds are auto-detected (manifest, metrics dump, metrics_ts
-// snapshot, sweep journal); both sides must be the same kind. Output is
+// snapshot); both sides must be the same kind. Output is
 // markdown (stdout by default); --out is written only once both inputs have
 // been read. Exit status mirrors ecnd-report: 0 = no differences (after
 // --tolerance suppression), 1 = numeric drift, 2 = structural mismatch, or a

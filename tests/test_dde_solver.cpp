@@ -214,10 +214,10 @@ TEST(History, BatchValuesMatchPerVariableLookups) {
                              {8.0, 20.0, -9.0},
                              {4.0, 40.0, -1.0}};
   for (int i = 0; i < 4; ++i) h.append(i * 0.25, rows[i]);
-  // Interior, exact-sample, and both clamped ends: values() must agree
-  // bit-for-bit with the per-variable path.
+  // Interior, exact-sample, and both clamped ends: the whole row from
+  // values() must agree bit-for-bit with the per-variable path.
   for (const double t : {-1.0, 0.0, 0.1, 0.25, 0.3, 0.62, 0.75, 0.9, 2.0}) {
-    const std::span<const double> batch = h.values(t);
+    const std::span<const double> batch = h.values(t, 0, h.dim());
     ASSERT_EQ(batch.size(), 3u);
     for (std::size_t v = 0; v < 3; ++v) {
       EXPECT_DOUBLE_EQ(batch[v], h.value(v, t)) << "t=" << t << " var=" << v;
@@ -266,7 +266,7 @@ TEST(History, CompactionBoundaryStaysInterpolationExact) {
   // Lookups below the kept window clamp to the new start.
   EXPECT_DOUBLE_EQ(h.value(0, 1.0), h.value(0, 6.999));
   // And the batch path agrees after compaction too.
-  EXPECT_DOUBLE_EQ(h.values(7.0001)[0], before_a);
+  EXPECT_DOUBLE_EQ(h.values(7.0001, 0, 1)[0], before_a);
 }
 
 TEST(DdeSolver, GuardRetryRealignsToNominalGrid) {

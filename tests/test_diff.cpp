@@ -1,7 +1,7 @@
 // ecnd-diff engine (src/report/diff): artifact kind detection, the severity
 // ladder (clean / numeric drift / structural mismatch) that becomes the CLI's
-// 0/1/2 exit status, tolerance suppression, first-divergence localization in
-// metric time-series, and torn-tail tolerance for the sweep journal.
+// 0/1/2 exit status, tolerance suppression, and first-divergence
+// localization in metric time-series.
 // Golden inputs are written to the test temp dir — the library is pure
 // file-in/report-out, so these are end-to-end minus main().
 
@@ -60,10 +60,11 @@ TEST(DiffDetect, ClassifiesEveryArtifactKind) {
       "manifest");
   EXPECT_EQ(detect_artifact(write_artifact("k_ts.json", metrics_ts(30))),
             "metrics_ts");
-  EXPECT_EQ(detect_artifact(write_artifact(
-                "k_journal.txt",
-                "ecnd1 0123456789abcdef done v=1\n")),
-            "journal");
+  // A sweep journal is not a run artifact: its keys hash the build, so two
+  // builds' journals never share a cell.
+  EXPECT_THROW(detect_artifact(write_artifact(
+                   "k_journal.txt", "ecnd1 0123456789abcdef done v=1\n")),
+               std::runtime_error);
   EXPECT_THROW(detect_artifact(write_artifact("k_junk.txt", "not json\n")),
                std::runtime_error);
   EXPECT_THROW(detect_artifact(::testing::TempDir() + "ecnd_diff_missing"),
@@ -146,26 +147,6 @@ TEST(DiffMetricsTs, LocalizesFirstDivergentSimTimestamp) {
   EXPECT_NE(r.entries[0].note.find("first divergence at t=0.002 s (sample 2)"),
             std::string::npos)
       << r.entries[0].note;
-}
-
-TEST(DiffJournal, QuarantineFlipIsNumericAndTornTailIsSkipped) {
-  const std::string a = write_artifact(
-      "j_a.txt",
-      "ecnd1 0123456789abcdef done v=1\n"
-      "ecnd1 fedcba9876543210 done v=2\n");
-  const std::string b = write_artifact(
-      "j_b.txt",
-      "ecnd1 0123456789abcdef done v=1\n"
-      "ecnd1 fedcba9876543210 quarantined diverged\n"
-      "ecnd1 00ff00ff00");  // torn mid-write: skipped, never fatal
-  const DiffResult r = diff_artifacts(a, b);
-  EXPECT_EQ(r.severity(), DiffSeverity::kNumeric);
-  EXPECT_EQ(r.skipped_lines, 1u);
-  bool saw_flip = false;
-  for (const DiffEntry& e : r.entries) {
-    if (e.note.find("quarantine") != std::string::npos) saw_flip = true;
-  }
-  EXPECT_TRUE(saw_flip);
 }
 
 TEST(DiffKinds, MismatchedArtifactKindsAreStructural) {

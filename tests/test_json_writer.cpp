@@ -143,6 +143,22 @@ TEST(EnvKnob, RunDetailNamesALevelAndNeedsARunDirectory) {
             "to be set too\n");
 }
 
+TEST(EnvKnob, QuickIsOnOnlyForOne) {
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(env::parse_quick("1"));
+  EXPECT_FALSE(env::parse_quick("0"));
+  EXPECT_FALSE(env::parse_quick(nullptr));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  for (const char* bad : {"", "yes", "true", "2", "01", " 1"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(env::parse_quick(bad)) << bad;
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              std::string("[env] ignoring ECND_QUICK=\"") + bad +
+                  "\": expected 0 or 1\n");
+  }
+}
+
 TEST(EnvKnob, UnknownKnobsAreReportedByName) {
   // A knob the tree does not read, such as one from an older shell
   // (ECND_METRICS), would otherwise silently record nothing.

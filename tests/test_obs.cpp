@@ -122,20 +122,28 @@ TEST_F(ObsFixture, HistogramCountsSumsAndBuckets) {
             std::string::npos)
       << json;
   EXPECT_NO_THROW(report::Json::parse(json)) << json;
-  EXPECT_DOUBLE_EQ(obs::histogram_percentile("test.obs.hist", 0.99).value(),
-                   7.92);
-  EXPECT_EQ(obs::histogram_percentile("test.obs.hist", 0.0).value(), 0.0);
-  EXPECT_FALSE(obs::histogram_percentile("no.such.histogram", 0.5).has_value());
+
+  // Bucket 0 holds the exact value 0: a median that lands there reads 0,
+  // not an interpolated edge.
+  const obs::Histogram zeros = obs::histogram("test.obs.mostly_zero_hist");
+  for (int i = 0; i < 3; ++i) zeros.record(0);
+  zeros.record(4);
+  EXPECT_NE(metrics_json().find("\"test.obs.mostly_zero_hist\": {\"count\": 4, "
+                                "\"sum\": 4, \"buckets\": [[0, 3], [4, 1]], "
+                                "\"p50\": 0, \"p99\": 7.84}"),
+            std::string::npos)
+      << metrics_json();
 }
 
 TEST_F(ObsFixture, PercentileOfRegisteredButEmptyHistogramIsNullopt) {
   // Registration alone is not data: a histogram that never recorded must
-  // answer "no percentile", same as an unknown name — not a fake 0.
+  // dump "no percentile", not a fake 0.
   obs::histogram("test.obs.empty_hist");
-  EXPECT_FALSE(obs::histogram_percentile("test.obs.empty_hist", 0.5)
-                   .has_value());
-  EXPECT_FALSE(obs::histogram_percentile("test.obs.empty_hist", 0.99)
-                   .has_value());
+  EXPECT_NE(metrics_json().find("\"test.obs.empty_hist\": {\"count\": 0, "
+                                "\"sum\": 0, \"buckets\": [], "
+                                "\"p50\": null, \"p99\": null}"),
+            std::string::npos)
+      << metrics_json();
 }
 
 TEST_F(ObsFixture, ManifestReportsPerTaskTraceDrops) {

@@ -200,7 +200,7 @@ TEST_F(ObsExportPins, EveryExportMatchesItsRecordedDigest) {
   EXPECT_EQ(fnv1a64(postcards), 0x0f538055a68714b5ull) << "flight postcards";
   EXPECT_EQ(fnv1a64(timeline), 0x1cf145b3008f8ef0ull) << "flight timeline";
   EXPECT_EQ(fnv1a64(pausetree), 0x591ceb70fdffae51ull) << "flight pause tree";
-  EXPECT_EQ(fnv1a64(metrics_ts), 0xa147202439e06387ull) << "metrics_ts";
+  EXPECT_EQ(fnv1a64(metrics_ts), 0x6df13fe61626800aull) << "metrics_ts";
   EXPECT_EQ(fnv1a64(scenario_folded(folded)), 0x6db1ae7edebff596ull)
       << "folded profile";
 

@@ -109,6 +109,41 @@ TEST_F(SnapProfFixture, GaugeSeriesUseValuesColumnAndZeroSeriesAreOmitted) {
       << "all-zero series must be omitted: " << json;
 }
 
+TEST_F(SnapProfFixture, FirstSampleIncludesWhatTheTaskCountedBeforeIt) {
+  const obs::Counter c = obs::counter("test.snap.setup_work");
+  const obs::Gauge g = obs::gauge("test.snap.setup_gauge");
+  obs::set_snapshot_enabled(true);
+  // A task's setup counts before its first tick; the first sample must hold
+  // them, whichever thread ran the task.
+  par::parallel_for_each(
+      2,
+      [&](std::size_t i) {
+        c.add(10 * (i + 1));
+        g.set_max(7);
+        obs::snapshot_tick(0.0);
+      },
+      2);
+  const std::string json = metrics_ts_json();
+  const std::size_t task2 = json.find("\"task\": 2");
+  ASSERT_NE(task2, std::string::npos) << json;
+  const std::string first = json.substr(0, task2);
+  const std::string second = json.substr(task2);
+  EXPECT_NE(first.find("\"test.snap.setup_work\", \"kind\": \"counter\", "
+                       "\"cum\": [10]"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(second.find("\"test.snap.setup_work\", \"kind\": \"counter\", "
+                        "\"cum\": [20]"),
+            std::string::npos)
+      << json;
+  for (const std::string& task : {first, second}) {
+    EXPECT_NE(task.find("\"test.snap.setup_gauge\", \"kind\": \"gauge\", "
+                        "\"values\": [7]"),
+              std::string::npos)
+        << json;
+  }
+}
+
 TEST_F(SnapProfFixture, SnapshotIdleWhenDisarmed) {
   const obs::Counter c = obs::counter("test.snap.disarmed");
   c.add(1);
