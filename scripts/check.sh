@@ -46,7 +46,7 @@ cd "$(dirname "$0")/.."
 build_suite() {
   local build_dir="$1"; shift
   cmake -B "$build_dir" -S . "$@"
-  cmake --build "$build_dir" -j
+  cmake --build "$build_dir" -j "$(nproc)"
 }
 
 run_tests() {
@@ -111,7 +111,7 @@ obs_smoke() {
     diff -r -x profile.wall.folded "$tmp/${name}1" "$tmp/${name}4"
   done
 
-  echo "-- JSON validity, sampled postcards, rooted pause tree, lossless storm"
+  echo "-- JSON validity, postcards, flow lanes, pause causality, lossless storm"
   python3 - "$tmp/fig141" "$tmp/fabric1" <<'EOF'
 import json, sys
 f, x = sys.argv[1], sys.argv[2]
@@ -135,26 +135,21 @@ records = sum(len(t["records"]) for t in p["tasks"])
 assert records > 0, "no postcards sampled"
 hop = next(r for t in p["tasks"] if t["records"] for r in t["records"])
 assert hop["port"] and hop["t_out_ps"] >= hop["t_in_ps"], hop
-tl = json.load(open(f"{x}/flight.timeline.json"))
-spans = [e for e in tl["traceEvents"] if e.get("ph") == "X"]
-assert spans, "no flow spans in the timeline"
-pt = json.load(open(f"{x}/flight.pausetree.json"))
-assert pt["schema"] == "ecnd-flight-pausetree-v1", pt.get("schema")
-stormy = [task for task in pt["tasks"] if task["nodes"]]
-assert stormy, "no pause records in the pause tree"
-for task in stormy:
-    roots = [n for n in task["nodes"] if n["parent"] == 0]
-    assert roots and task["roots"] >= len({n["id"] for n in roots}) > 0
-    assert all(n["trigger_flow"] > 0 for n in task["nodes"]), "unattributed pause"
-    assert task["top_offender"]["flow"] > 0
+xt = json.load(open(f"{x}/trace.json"))["traceEvents"]
+spans = [e for e in xt if e.get("ph") == "X"]
+assert spans, "no flow spans in trace.json"
+tracks = [(e["pid"], e["tid"]) for e in xt if e["name"] == "thread_name"]
+assert len(tracks) == len(set(tracks)), "two thread_name records share a track"
 obs = json.load(open(f"{x}/manifest.json"))["observables"]
 for variant in ("default", "tight"):
     assert obs[f"pause_depth.{variant}"] >= 1, variant
     assert obs[f"storm_drops.{variant}"] == 0, variant
+assert obs["pause_tree_roots.default"] >= 1, "no rooted pause tree"
+assert obs["storm_root_flow.default"] > 0, "unattributed storm root"
+assert obs["storm_top_offender_pauses.default"] >= 1, "no top offender"
 assert any(k.startswith("incast_fct_ms.") for k in obs), "no incast observables"
 print(f"   {len(m['counters'])} counters, {len(t['traceEvents'])} trace events, "
-      f"{records} postcards, {len(spans)} spans, "
-      f"{sum(len(task['nodes']) for task in stormy)} pause nodes, "
+      f"{records} postcards, {len(spans)} spans on {len(tracks)} tracks, "
       f"{len(obs)} manifest observables")
 EOF
 
@@ -177,7 +172,7 @@ EOF
 
   echo "-- compiled out (-DECND_OBS=OFF): no directory, stdout identical"
   cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j --target bench_fig14_fct_vs_load bench_ext_fabric
+  cmake --build build-obs-off -j "$(nproc)" --target bench_fig14_fct_vs_load bench_ext_fabric
   mkdir "$tmp/off"
   for entry in "${runs[@]}"; do
     read -r name level bin <<< "$entry"

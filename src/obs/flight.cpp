@@ -3,9 +3,8 @@
 #if !defined(ECND_OBS_DISABLED)
 
 #include <algorithm>
-#include <map>
 #include <ostream>
-#include <string>
+#include <sstream>
 #include <unordered_map>
 #include <vector>
 
@@ -27,20 +26,18 @@ namespace {
 // metrics dump is unchanged by this module.
 const Counter kFlightHops = counter("obs.flight_hops");
 const Counter kFlightFlows = counter("obs.flight_flows");
-const Counter kFlightPauses = counter("obs.flight_pauses");
 const Counter kFlightDropped = counter("obs.flight_dropped");
 
 /// One sweep task's record streams. Postcards are keep-first bounded: the
 /// head of a flow's life is what localizes its latency, and a fixed prefix
-/// is deterministic under any completion order. Spans and pause tags are
-/// small by construction (one record per flow / per PAUSE frame).
+/// is deterministic under any completion order. Spans are small by
+/// construction (one record per flow).
 struct TaskFlight {
   explicit TaskFlight(std::size_t capacity) : cap(capacity) {}
 
   std::vector<FlightHop> hops;
   std::uint64_t hop_attempts = 0;
   std::vector<FlightFlow> flows;
-  std::vector<FlightPause> pauses;
   std::size_t cap;
 
   std::uint64_t dropped() const {
@@ -55,7 +52,7 @@ std::string ts_us(std::int64_t ps) {
   return json::trace_us(static_cast<double>(ps) / 1e6);
 }
 
-/// Per-flow hop aggregate for the timeline's sub-slices: one slice per hop of
+/// Per-flow hop aggregate for the lanes' sub-slices: one slice per hop of
 /// the flow's path, [first enqueue, last transmit].
 struct HopSlice {
   const char* port = "";
@@ -85,11 +82,6 @@ void flight_push_hop(const FlightHop& hop) {
 void flight_push_flow(const FlightFlow& flow) {
   FlightStore::instance().current().flows.push_back(flow);
   kFlightFlows.add();
-}
-
-void flight_push_pause(const FlightPause& pause) {
-  FlightStore::instance().current().pauses.push_back(pause);
-  kFlightPauses.add();
 }
 
 void flight_reset() { FlightStore::instance().clear(); }
@@ -143,28 +135,18 @@ void write_flight_postcards_json(std::ostream& out) {
   out << "\n]}\n";
 }
 
-void write_flight_timeline_json(std::ostream& out) {
-  const auto buffers = FlightStore::instance().snapshot();
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  const char* sep = "\n";
-  // Lane stride: flow span at (lane+1)*16, hop h at (lane+1)*16 + 1 + h.
-  // Clos paths here are at most 6 hops; the stride keeps every (flow, hop)
-  // on its own Perfetto thread so slices never overlap within a track. Lanes
-  // start at tid 16, not 0: the tid band [0, 16) is reserved for the event
-  // tracer (trace.cpp), which shares the task-index pid namespace, so one
-  // Perfetto session can load both files coherently (OBSERVABILITY.md,
-  // "Shared pid/tid namespace").
-  constexpr std::uint64_t kLaneStride = 16;
-  for (const auto& [task, buf] : buffers) {
-    out << sep << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << task
-        << ",\"tid\":0,\"args\":{\"name\":\"task " << task << "\"}}";
-    sep = ",\n";
+namespace detail {
+
+std::map<std::uint32_t, std::string> flight_lanes() {
+  std::map<std::uint32_t, std::string> lanes;
+  for (const auto& [task, buf] : FlightStore::instance().snapshot()) {
+    std::ostringstream out;
     // Bucket this task's postcards by flow (emission order preserved).
     std::unordered_map<std::uint64_t, std::vector<const FlightHop*>> by_flow;
     for (const FlightHop& h : buf->hops) by_flow[h.flow_id].push_back(&h);
 
-    for (std::size_t lane = 0; lane < buf->flows.size(); ++lane) {
-      const FlightFlow& flow = buf->flows[lane];
+    std::uint64_t tid = 0;
+    for (const FlightFlow& flow : buf->flows) {
       const auto found = by_flow.find(flow.flow_id);
 
       // Aggregate per hop, in path order (per-hop FIFO + per-flow ECMP path
@@ -192,24 +174,25 @@ void write_flight_timeline_json(std::ostream& out) {
         }
       }
 
-      const std::uint64_t base =
-          (static_cast<std::uint64_t>(lane) + 1) * kLaneStride;
-      out << sep << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << task
-          << ",\"tid\":" << base << ",\"args\":{\"name\":\"flow " << flow.flow_id
+      // Every span and slice gets its own tid, so slices never overlap
+      // within a Perfetto track.
+      ++tid;
+      out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << task
+          << ",\"tid\":" << tid << ",\"args\":{\"name\":\"flow " << flow.flow_id
           << " h" << flow.src_host << "->h" << flow.dst_host << "\"}}";
-      out << sep << "{\"name\":\"flow " << flow.flow_id << "\",\"ph\":\"X\",\"pid\":"
-          << task << ",\"tid\":" << base << ",\"ts\":" << ts_us(span_start)
+      out << ",\n{\"name\":\"flow " << flow.flow_id << "\",\"ph\":\"X\",\"pid\":"
+          << task << ",\"tid\":" << tid << ",\"ts\":" << ts_us(span_start)
           << ",\"dur\":" << ts_us(flow.end_ps - span_start)
           << ",\"args\":{\"bytes\":" << flow.size_bytes
           << ",\"fct_us\":" << ts_us(flow.end_ps - flow.start_ps) << "}}";
 
       for (std::size_t h = 0; h < slices.size(); ++h) {
         const HopSlice& s = slices[h];
-        const std::uint64_t tid = base + 1 + static_cast<std::uint64_t>(h);
-        out << sep << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << task
+        ++tid;
+        out << ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << task
             << ",\"tid\":" << tid << ",\"args\":{\"name\":"
             << json::quote("hop " + std::to_string(h) + " " + s.port) << "}}";
-        out << sep << "{\"name\":" << json::quote(s.port)
+        out << ",\n{\"name\":" << json::quote(s.port)
             << ",\"ph\":\"X\",\"pid\":" << task << ",\"tid\":" << tid
             << ",\"ts\":" << ts_us(s.t_first_in_ps)
             << ",\"dur\":" << ts_us(s.t_last_out_ps - s.t_first_in_ps)
@@ -218,64 +201,12 @@ void write_flight_timeline_json(std::ostream& out) {
             << ",\"dwell_us\":" << ts_us(s.dwell_ps) << "}}";
       }
     }
+    lanes.emplace(task, std::move(out).str());
   }
-  out << "\n]}\n";
+  return lanes;
 }
 
-void write_flight_pausetree_json(std::ostream& out) {
-  const auto buffers = FlightStore::instance().snapshot();
-  out << "{\"schema\":\"ecnd-flight-pausetree-v1\",\"tasks\":[";
-  const char* task_sep = "\n";
-  for (const auto& [task, buf] : buffers) {
-    // Tree shape: depth (longest parent chain), fan-out, top offender flow.
-    std::unordered_map<std::uint64_t, std::size_t> index;
-    index.reserve(buf->pauses.size());
-    for (std::size_t i = 0; i < buf->pauses.size(); ++i) {
-      index.emplace(buf->pauses[i].pause_id, i);
-    }
-    std::vector<int> depth(buf->pauses.size(), 0);
-    std::vector<int> children(buf->pauses.size(), 0);
-    int max_depth = 0, max_children = 0, roots = 0;
-    std::map<std::uint64_t, std::uint64_t> offender;
-    for (std::size_t i = 0; i < buf->pauses.size(); ++i) {
-      // Emission order is causal order (a parent pause precedes its children
-      // in sim time), so one forward pass settles depths.
-      const FlightPause& p = buf->pauses[i];
-      const auto parent = index.find(p.parent_id);
-      if (p.parent_id == 0 || parent == index.end()) {
-        depth[i] = 1;
-        ++roots;
-      } else {
-        depth[i] = depth[parent->second] + 1;
-        max_children = std::max(max_children, ++children[parent->second]);
-      }
-      max_depth = std::max(max_depth, depth[i]);
-      ++offender[p.trigger_flow];
-    }
-    std::uint64_t top_flow = 0, top_pauses = 0;
-    for (const auto& [flow, count] : offender) {
-      if (count > top_pauses) { top_flow = flow; top_pauses = count; }
-    }
-
-    out << task_sep << "{\"task\":" << task << ",\"depth\":" << max_depth
-        << ",\"roots\":" << roots << ",\"max_children\":" << max_children
-        << ",\"top_offender\":{\"flow\":" << top_flow << ",\"pauses\":"
-        << top_pauses << "},\"nodes\":[";
-    task_sep = ",\n";
-    const char* sep = "\n";
-    for (const FlightPause& p : buf->pauses) {
-      out << sep << "{\"id\":" << p.pause_id << ",\"parent\":" << p.parent_id
-          << ",\"t_ps\":" << p.t_ps << ",\"switch\":" << p.switch_id
-          << ",\"ingress_port\":" << p.ingress_port
-          << ",\"egress_port\":" << p.egress_port
-          << ",\"egress\":" << json::quote(p.egress_name)
-          << ",\"trigger_flow\":" << p.trigger_flow << "}";
-      sep = ",\n";
-    }
-    out << "\n]}";
-  }
-  out << "\n]}\n";
-}
+}  // namespace detail
 
 }  // namespace ecnd::obs
 
@@ -288,12 +219,6 @@ namespace ecnd::obs {
 void write_flight_postcards_json(std::ostream& out) {
   out << "{\"schema\":\"ecnd-flight-postcards-v1\",\"sample_modulus\":0,"
       << "\"tasks\":[\n]}\n";
-}
-void write_flight_timeline_json(std::ostream& out) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n";
-}
-void write_flight_pausetree_json(std::ostream& out) {
-  out << "{\"schema\":\"ecnd-flight-pausetree-v1\",\"tasks\":[\n]}\n";
 }
 
 }  // namespace ecnd::obs

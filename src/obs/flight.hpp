@@ -1,7 +1,7 @@
 #pragma once
 // Flight recorder: in-band path telemetry for the packet simulator.
 //
-// Three coordinated record streams, all in SIMULATION time:
+// Two coordinated record streams, both in SIMULATION time:
 //
 //   * Postcards — for deterministically sampled flows, every hop (host NIC
 //     and every switch egress) appends one POD record per packet: port,
@@ -14,13 +14,11 @@
 //   * Flow spans — per sampled flow, a Chrome-trace "X" span from first
 //     transmission to FCT with one aggregated sub-slice per hop, so a
 //     Perfetto timeline shows where a tail-latency flow spent its life.
+//     write_trace_json places these lanes in trace.json after the tracer's
+//     events.
 //
-//   * Pause causality — every PAUSE frame a switch originates is tagged with
-//     its trigger (the congested egress whose backlog crossed the threshold
-//     and the flow whose arrival pushed it over) and with its parent pause
-//     (the pause currently blocking that egress, if any). The records form a
-//     rooted forest: the root is the first pause at the congestion victim,
-//     children are the upstream pauses it caused.
+// Pause causality is not recorded here: sim::PauseCause is the one record,
+// and sim::measure_pause_reach stitches it into the causality forest.
 //
 // Sampling is an FNV-1a hash of (src, dst, flow_id) against the sampling
 // modulus — the same pure-hash idiom as sim's ecmp_hash.
@@ -30,17 +28,19 @@
 // Records are buffered per sweep task (the obs::TaskScope index, exactly
 // like the tracer's rings), so exports are byte-identical at any
 // ECND_THREADS. Postcard buffers are bounded (keep-first + drop counter);
-// span and pause buffers are small by construction.
+// span buffers are small by construction.
 //
 // Runtime: ECND_RUN_DETAIL=flight (or above) arms the recorder and writes
-// flight.postcards.json, flight.timeline.json and flight.pausetree.json into
-// the run directory at process exit. It samples flows whose identity hash is
+// flight.postcards.json, plus the flow lanes in trace.json, into the run
+// directory at process exit. It samples flows whose identity hash is
 // divisible by 16 (set_flight_sample for tests; 1 = every flow).
 // Compile-time: -DECND_OBS=OFF no-ops everything here.
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <map>
+#include <string>
 
 #include "core/fnv1a.hpp"
 
@@ -75,19 +75,6 @@ struct FlightFlow {
   std::int64_t end_ps = 0;
 };
 
-/// One originated PAUSE frame with its causal tag. `egress_name` must be an
-/// interned or static string (the congested port the trigger was heading to).
-struct FlightPause {
-  std::uint64_t pause_id = 0;      ///< unique per network, carried in the frame
-  std::uint64_t parent_id = 0;     ///< pause blocking the egress; 0 = root
-  std::int64_t t_ps = 0;
-  int switch_id = -1;
-  int ingress_port = -1;           ///< port the PAUSE left through
-  int egress_port = -1;            ///< congested egress the trigger targeted
-  std::uint64_t trigger_flow = 0;  ///< flow whose arrival crossed the threshold
-  const char* egress_name = "";
-};
-
 #if !defined(ECND_OBS_DISABLED)
 
 namespace detail {
@@ -95,9 +82,13 @@ extern std::atomic<bool> g_flight_on;
 extern std::atomic<std::uint64_t> g_flight_sample;
 void flight_push_hop(const FlightHop& hop);
 void flight_push_flow(const FlightFlow& flow);
-void flight_push_pause(const FlightPause& pause);
 /// Drop every buffer (obs::reset's flight half).
 void flight_reset();
+/// Each task's flow lanes as Chrome trace events for write_trace_json, keyed
+/// by task index: per sampled flow in emission order, its span and then one
+/// slice per hop, each on its own tid counting up from 1 (the tracer's
+/// events own tid 0). Every event is preceded by ",\n".
+std::map<std::uint32_t, std::string> flight_lanes();
 }  // namespace detail
 
 inline bool flight_enabled() {
@@ -136,9 +127,6 @@ inline void flight_record_hop(const FlightHop& hop) {
 inline void flight_record_flow(const FlightFlow& flow) {
   if (flight_enabled()) detail::flight_push_flow(flow);
 }
-inline void flight_record_pause(const FlightPause& pause) {
-  if (flight_enabled()) detail::flight_push_pause(pause);
-}
 
 /// Postcards dropped to buffer overflow, summed over all task buffers.
 std::uint64_t flight_dropped_total();
@@ -150,8 +138,6 @@ void set_flight_capacity(std::size_t records);
 // Exports: tasks in index order, records in emission order within a task.
 // Deterministic for a deterministic run at any thread count.
 void write_flight_postcards_json(std::ostream& out);
-void write_flight_timeline_json(std::ostream& out);
-void write_flight_pausetree_json(std::ostream& out);
 
 #else  // ECND_OBS_DISABLED
 
@@ -162,12 +148,9 @@ inline std::uint64_t flight_sample() { return kDefaultFlightSample; }
 inline bool flight_sampled(int, int, std::uint64_t) { return false; }
 inline void flight_record_hop(const FlightHop&) {}
 inline void flight_record_flow(const FlightFlow&) {}
-inline void flight_record_pause(const FlightPause&) {}
 inline std::uint64_t flight_dropped_total() { return 0; }
 inline void set_flight_capacity(std::size_t) {}
 void write_flight_postcards_json(std::ostream& out);
-void write_flight_timeline_json(std::ostream& out);
-void write_flight_pausetree_json(std::ostream& out);
 
 #endif  // ECND_OBS_DISABLED
 

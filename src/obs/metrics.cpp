@@ -360,8 +360,6 @@ void export_at_exit() {
   }
   if (g_run_detail >= RunDetail::kFlight) {
     write_run_file("flight.postcards.json", write_flight_postcards_json);
-    write_run_file("flight.timeline.json", write_flight_timeline_json);
-    write_run_file("flight.pausetree.json", write_flight_pausetree_json);
   }
   write_run_file("metrics_ts.json", write_metrics_ts_json);
   if (g_run_detail >= RunDetail::kProf) {

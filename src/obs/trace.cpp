@@ -4,9 +4,12 @@
 
 #if !defined(ECND_OBS_DISABLED)
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/json_writer.hpp"
+#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/task_store.hpp"
 
@@ -112,35 +115,44 @@ std::vector<std::pair<std::uint32_t, std::uint64_t>> trace_dropped_by_task() {
 }
 
 void write_trace_json(std::ostream& out) {
-  const auto buffers = TraceStore::instance().snapshot();
+  // Every task with tracer events, flight lanes or both, in index order.
+  std::map<std::uint32_t, const TraceBuffer*> tasks;
+  for (const auto& [task, buf] : TraceStore::instance().snapshot()) {
+    tasks.emplace(task, buf);
+  }
+  const std::map<std::uint32_t, std::string> lanes = detail::flight_lanes();
+  for (const auto& [task, text] : lanes) tasks.try_emplace(task, nullptr);
+
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   const char* sep = "\n";
-  for (const auto& [task, buf] : buffers) {
-    // Shared pid/tid namespace with the flight recorder's timeline.json:
-    // pid = task index in both files, the tracer's instants/counters live on
-    // tid 0 (the band [0, 16) is reserved for it) and flight flow lanes
-    // start at tid 16 — so loading both files into one Perfetto session
-    // renders coherent per-task tracks (OBSERVABILITY.md).
+  for (const auto& [task, buf] : tasks) {
+    // pid = task index; the tracer's instants and counters live on tid 0,
+    // the flight recorder's flow lanes on tids 1, 2, ...
     out << sep
         << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << task
         << ",\"tid\":0,\"args\":{\"name\":\"task " << task << "\"}}";
     sep = ",\n";
-    out << sep << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << task
-        << ",\"tid\":0,\"args\":{\"name\":\"events\"}}";
-    // Chronological order: a wrapped ring's oldest surviving record sits at
-    // count % cap.
-    const std::size_t n = buf->ring.size();
-    const std::size_t start = buf->count > buf->cap
-                                  ? static_cast<std::size_t>(buf->count % buf->cap)
-                                  : 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      out << sep;
-      write_event(out, task, buf->ring[(start + k) % n]);
+    if (buf != nullptr) {
+      out << sep << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << task
+          << ",\"tid\":0,\"args\":{\"name\":\"events\"}}";
+      // Chronological order: a wrapped ring's oldest surviving record sits
+      // at count % cap.
+      const std::size_t n = buf->ring.size();
+      const std::size_t start =
+          buf->count > buf->cap ? static_cast<std::size_t>(buf->count % buf->cap)
+                                : 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        out << sep;
+        write_event(out, task, buf->ring[(start + k) % n]);
+      }
+      if (const std::uint64_t dropped = buf->dropped()) {
+        out << sep << "{\"name\":\"trace.dropped\",\"ph\":\"i\",\"pid\":"
+            << task << ",\"tid\":0,\"ts\":0.000000,\"s\":\"p\",\"args\":{\"v\":"
+            << dropped << ",\"id\":0}}";
+      }
     }
-    if (const std::uint64_t dropped = buf->dropped()) {
-      out << sep << "{\"name\":\"trace.dropped\",\"ph\":\"i\",\"pid\":" << task
-          << ",\"tid\":0,\"ts\":0.000000,\"s\":\"p\",\"args\":{\"v\":" << dropped
-          << ",\"id\":0}}";
+    if (const auto found = lanes.find(task); found != lanes.end()) {
+      out << found->second;
     }
   }
   out << "\n]}\n";

@@ -17,6 +17,11 @@
 // run is usually the interesting part) and counts what it dropped; the count
 // is reported in the export and via trace_dropped_total().
 //
+// trace.json is the one Perfetto file: within each task's pid, the tracer's
+// events sit on tid 0 and the flight recorder's flow lanes (obs/flight.hpp)
+// on tids 1, 2, ... The two keep separate per-task stores, because the ring
+// wraps and the lanes must survive it; only the writer merges them.
+//
 // Runtime: ECND_RUN_DETAIL=trace (or above) arms tracing and writes
 // trace.json into the run directory at process exit; the per-task ring holds
 // 65536 events (set_trace_capacity for tests). Compile-time: -DECND_OBS=OFF
@@ -92,9 +97,10 @@ std::uint64_t trace_dropped_total();
 /// complete to ecnd-report.
 std::vector<std::pair<std::uint32_t, std::uint64_t>> trace_dropped_by_task();
 
-/// Write every buffered event as Chrome trace-event JSON, tasks in index
-/// order, events in emission order within a task. Deterministic for a
-/// deterministic run at any thread count.
+/// Write every buffered event, then the flight recorder's flow lanes, as
+/// Chrome trace-event JSON: tasks in index order (every task with either
+/// kind of record), events in emission order within a task. Deterministic
+/// for a deterministic run at any thread count.
 void write_trace_json(std::ostream& out);
 
 #else  // ECND_OBS_DISABLED

@@ -38,19 +38,17 @@ struct LoadedArtifact {
   Json json;
 };
 
-std::string kind_from_schema(const std::string& schema) {
-  if (schema == "ecnd-manifest-v1") return "manifest";
-  if (schema == "ecnd-metrics-v1") return "metrics";
-  if (schema == "ecnd-metrics-ts-v1") return "metrics_ts";
-  throw std::runtime_error("unrecognized schema \"" + schema + "\"");
-}
-
 LoadedArtifact load_artifact(const std::string& path) {
   LoadedArtifact art;
   art.json = Json::parse_file(path);
   const auto schema = art.json.get_string("schema");
   if (!schema) throw std::runtime_error(path + ": no \"schema\" field");
-  art.kind = kind_from_schema(*schema);
+  if (*schema == "ecnd-manifest-v1") art.kind = "manifest";
+  if (*schema == "ecnd-metrics-v1") art.kind = "metrics";
+  if (*schema == "ecnd-metrics-ts-v1") art.kind = "metrics_ts";
+  if (art.kind.empty()) {
+    throw std::runtime_error(path + ": unrecognized schema \"" + *schema + "\"");
+  }
   return art;
 }
 

@@ -162,9 +162,9 @@ void Host::handle_data(const Packet& pkt) {
   if (pkt.flow_end) {
     if (obs::flight_enabled() &&
         obs::flight_sampled(pkt.src_host, id(), pkt.flow_id)) {
-      // Flow span for the timeline export: same lifetime the postcards cover
-      // (first data tx to last data delivery), independent of whether a
-      // completion callback is installed.
+      // Flow span for the flight lanes in trace.json: same lifetime the
+      // postcards cover (first data tx to last data delivery), independent
+      // of whether a completion callback is installed.
       obs::FlightFlow span;
       span.flow_id = pkt.flow_id;
       span.src_host = pkt.src_host;

@@ -131,18 +131,6 @@ void Switch::receive(Packet pkt, int ingress_port) {
       cause.egress_port = egress;
       cause.trigger_flow = pkt.flow_id;
       pause_causes_.push_back(cause);
-      if (obs::flight_enabled()) {
-        obs::FlightPause rec;
-        rec.pause_id = cause.id;
-        rec.parent_id = cause.parent;
-        rec.t_ps = cause.time;
-        rec.switch_id = static_cast<std::uint32_t>(id());
-        rec.ingress_port = static_cast<std::uint16_t>(ingress_port);
-        rec.egress_port = static_cast<std::uint16_t>(egress);
-        rec.trigger_flow = pkt.flow_id;
-        rec.egress_name = obs::intern(port(egress).name());
-        obs::flight_record_pause(rec);
-      }
       send_pfc(ingress_port, PacketType::kPause, cause.id);
     }
   }

@@ -34,6 +34,7 @@ struct PfcConfig {
 /// unused for control frames), so the paused port knows which event blocks it
 /// and a further upstream crossing can name it as parent: the edges stitch
 /// into the rooted propagation trees that measure_pause_reach reports.
+/// This is the only record of pause causality: no recorder keeps a copy.
 /// Recorded unconditionally when PFC is on — a handful of PODs per pause is
 /// sim-domain cheap and keeps causality available in ECND_OBS=OFF builds.
 struct PauseCause {

@@ -69,6 +69,17 @@ TEST(DiffDetect, ClassifiesEveryArtifactKind) {
                std::runtime_error);
   EXPECT_THROW(detect_artifact(::testing::TempDir() + "ecnd_diff_missing"),
                std::runtime_error);
+  // A run artifact ecnd-diff does not compare: the error names the file, so
+  // the user can tell which of the two inputs is wrong.
+  const std::string postcards = write_artifact(
+      "k_postcards.json", R"({"schema": "ecnd-flight-postcards-v1"})");
+  try {
+    detect_artifact(postcards);
+    ADD_FAILURE() << "postcards must not classify";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(postcards), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DiffMetrics, IdenticalFilesAreCleanExitZero) {

@@ -1,9 +1,10 @@
 // Flight recorder (src/obs/flight): deterministic hash sampling, per-hop
-// postcard capture on a real Clos fabric, byte-identical exports at any
-// thread count, pause-causality records, keep-first overflow accounting, and
-// the -DECND_OBS=OFF erasure contract. Everything arms the recorder
-// programmatically (set_flight_enabled / set_flight_sample) so the suite
-// behaves the same with or without a run directory (ECND_RUN_DIR).
+// postcard capture on a real Clos fabric, flow lanes in trace.json beside the
+// tracer's events, byte-identical exports at any thread count, keep-first
+// overflow accounting, and the -DECND_OBS=OFF erasure contract. Everything
+// arms the recorder programmatically (set_flight_enabled /
+// set_flight_sample) so the suite behaves the same with or without a run
+// directory (ECND_RUN_DIR).
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "core/parallel.hpp"
-#include "exp/fabric.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -68,6 +68,7 @@ class FlightFixture : public ::testing::Test {
   }
 
   void TearDown() override {
+    obs::set_trace_enabled(false);
     obs::set_flight_enabled(false);
     obs::set_flight_sample(obs::kDefaultFlightSample);
     obs::set_flight_capacity(std::size_t{1} << 16);
@@ -100,15 +101,9 @@ std::string postcards_json() {
   return out.str();
 }
 
-std::string timeline_json() {
+std::string trace_json() {
   std::ostringstream out;
-  obs::write_flight_timeline_json(out);
-  return out.str();
-}
-
-std::string pausetree_json() {
-  std::ostringstream out;
-  obs::write_flight_pausetree_json(out);
+  obs::write_trace_json(out);
   return out.str();
 }
 
@@ -166,7 +161,7 @@ TEST_F(FlightFixture, PostcardsRecordOrderedPerHopTimestamps) {
 TEST_F(FlightFixture, TimelineEmitsASpanPerSampledFlowWithHopSlices) {
   run_cross_leaf_flows(1);
 
-  const std::string json = timeline_json();
+  const std::string json = trace_json();
   // Four flows, all completing inside the run window: four flow spans, each
   // with at least one hop sub-slice underneath.
   std::size_t spans = 0;
@@ -190,7 +185,7 @@ TEST_F(FlightFixture, ExportsAreByteIdenticalAcrossThreadCounts) {
     // records to buffer i+1, so the export order is the grid order.
     par::parallel_for_each(
         4, [](std::size_t i) { run_cross_leaf_flows(i + 1); }, threads);
-    return postcards_json() + timeline_json() + pausetree_json();
+    return postcards_json() + trace_json();
   };
   const std::string serial = snapshot(1);
   const std::string parallel = snapshot(4);
@@ -198,39 +193,33 @@ TEST_F(FlightFixture, ExportsAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST_F(FlightFixture, PauseTreeExportRootsChainsAndNamesOffenders) {
-  exp::PauseStormConfig config;
-  config.fabric.kind = FabricConfig::Kind::kLeafSpine;
-  config.fabric.spines = 2;
-  config.fabric.leaves = 4;
-  config.fabric.hosts_per_leaf = 4;
-  config.fabric.fabric_link_rate = gbps(40.0);  // root at the victim leaf
-  config.fabric.pfc.enabled = true;
-  config.fabric.pfc.pause_threshold = kilobytes(64.0);
-  config.fabric.pfc.resume_threshold = kilobytes(32.0);
-  config.senders = 7;
-  config.bytes_per_sender = kilobytes(512.0);
-  config.duration_s = 0.005;
-  config.seed = 5;
-  const exp::PauseStormResult result = exp::run_pause_storm(config);
-  ASSERT_GT(result.pause_frames, 0u) << "storm must actually pause";
+TEST_F(FlightFixture, TraceJsonHoldsTracerAndFlowLanesOnDistinctThreads) {
+  obs::set_trace_enabled(true);
+  run_cross_leaf_flows(1);
 
-  const std::string json = pausetree_json();
-  EXPECT_NE(json.find("\"schema\":\"ecnd-flight-pausetree-v1\""),
+  // One record per line: the tracer's events on tid 0, then one tid per
+  // flow span and hop slice.
+  const std::string json = trace_json();
+  std::istringstream lines(json);
+  int processes = 0, spans = 0;
+  std::vector<double> thread_tids;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"name\":\"process_name\"") != std::string::npos) {
+      ++processes;
+    }
+    if (line.find("\"ph\":\"X\"") != std::string::npos) ++spans;
+    if (line.find("\"name\":\"thread_name\"") != std::string::npos) {
+      thread_tids.push_back(values_of(line, "tid").at(0));
+    }
+  }
+  EXPECT_EQ(processes, 1);  // single task (main thread)
+  EXPECT_NE(json.find("\"tid\":0,\"args\":{\"name\":\"events\"}"),
             std::string::npos);
-  const std::vector<double> depth = values_of(json, "depth");
-  const std::vector<double> roots = values_of(json, "roots");
-  ASSERT_EQ(depth.size(), 1u);  // single task (main thread)
-  EXPECT_GE(depth[0], 2.0) << "pauses must chain beyond the first switch";
-  EXPECT_GE(roots[0], 1.0);
-  // Every node names the flow whose arrival crossed the threshold, and the
-  // summary singles out a top offender.
-  for (const double f : values_of(json, "trigger_flow")) EXPECT_GT(f, 0.0);
-  EXPECT_GT(values_of(json, "flow").at(0), 0.0);
-  EXPECT_GT(values_of(json, "pauses").at(0), 0.0);
-  // The flight stream and the sim-layer causality agree on scale.
-  const std::vector<double> ids = values_of(json, "id");
-  EXPECT_EQ(ids.size(), result.reach.tree.size());
+  EXPECT_GT(spans, 0);
+  ASSERT_GT(thread_tids.size(), 1u);
+  for (std::size_t i = 0; i < thread_tids.size(); ++i) {
+    EXPECT_EQ(thread_tids[i], static_cast<double>(i)) << "thread " << i;
+  }
 }
 
 TEST_F(FlightFixture, PostcardBuffersKeepTheFirstRecordsAndCountDrops) {
@@ -261,7 +250,7 @@ TEST_F(FlightFixture, DisarmedRecorderCapturesNothing) {
   run_cross_leaf_flows(1);
   EXPECT_EQ(values_of(postcards_json(), "t_in_ps").size(), 0u);
   EXPECT_EQ(postcards_json().find("\"flow\":"), std::string::npos);
-  EXPECT_EQ(timeline_json().find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_EQ(trace_json().find("\"ph\":\"X\""), std::string::npos);
 }
 
 TEST_F(FlightFixture, ArmingTheRecorderDoesNotPerturbTheSimulation) {
@@ -316,16 +305,11 @@ TEST(FlightDisabled, EveryEntryPointIsErased) {
 }
 
 TEST(FlightDisabled, WritersEmitEmptySchemas) {
-  std::ostringstream postcards, timeline, pausetree;
+  std::ostringstream postcards;
   obs::write_flight_postcards_json(postcards);
-  obs::write_flight_timeline_json(timeline);
-  obs::write_flight_pausetree_json(pausetree);
   EXPECT_NE(postcards.str().find("ecnd-flight-postcards-v1"),
             std::string::npos);
   EXPECT_EQ(values_of(postcards.str(), "sample_modulus").at(0), 0.0);
-  EXPECT_NE(timeline.str().find("\"traceEvents\":["), std::string::npos);
-  EXPECT_NE(pausetree.str().find("ecnd-flight-pausetree-v1"),
-            std::string::npos);
 }
 
 #endif  // ECND_OBS_DISABLED

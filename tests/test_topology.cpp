@@ -355,12 +355,14 @@ TEST(PauseReach, LeafSpineTreeRootsAtTheVictimEdgeAndNamesOffenders) {
   EXPECT_NE(reach.top_offender_flow, 0u);
   EXPECT_GE(reach.top_offender_pauses, 1u);
 
-  // Structural invariants: depths are consistent with parent edges, and
-  // children counts total nodes minus roots.
+  // Structural invariants: depths are consistent with parent edges,
+  // children counts total nodes minus roots, and every pause names the flow
+  // whose arrival crossed the threshold.
   int non_roots = 0;
   for (const PauseTreeNode& node : reach.tree) {
     EXPECT_GE(node.depth, 1);
     EXPECT_LE(node.depth, reach.tree_depth);
+    EXPECT_GT(node.cause.trigger_flow, 0u);
     if (node.cause.parent != 0) ++non_roots;
   }
   int children_total = 0;
