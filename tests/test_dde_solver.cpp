@@ -3,6 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "core/fnv1a.hpp"
+#include "fluid/dcqcn_model.hpp"
+#include "fluid/timely_model.hpp"
+#include "obs/metrics.hpp"
 
 namespace ecnd::fluid {
 namespace {
@@ -460,6 +469,167 @@ TEST(DdeSolver, DeepRetentionTrajectoryBitIdentical) {
   }
   EXPECT_EQ(sf.state()[0], sd.state()[0]);
   EXPECT_EQ(sf.state()[1], sd.state()[1]);
+}
+
+// ---------------------------------------------------------------------------
+// HistoryPins: long guarded runs of the paper's two models, pinned bit for
+// bit. Each run is long enough for every history store to turn over its
+// window many times (the storage before the history ring compacted its dead
+// prefix in both stores during these runs), and a guard rejects a few whole
+// steps, so off-grid sub-step samples sit among the grid samples, and a
+// burst of them overfills the retained window. Recorded before the history
+// became a ring; any change to how History stores or finds samples that is
+// not bit-neutral moves a digest or a count.
+
+/// Rejects the first trial step ending at or after each listed time (sorted
+/// ascending): the solver then commits a half step and the remainder. A time
+/// listed twice rejects the remainder too, which commits a quarter step.
+DdeSolver::Guard reject_at(std::vector<double> times) {
+  return [times = std::move(times), next = std::size_t{0}](
+             double t, std::span<const double>, Diagnostic& diag) mutable {
+    if (next == times.size() || t < times[next]) return true;
+    ++next;
+    diag = Diagnostic::make("HistoryPins", "x", t, 0.0, "injected rejection");
+    return false;
+  };
+}
+
+/// Reads of `h` at the solver's time t: the queue (variable 0, deep-retained
+/// for TIMELY) and `rows_var` (rows only) at on-grid and off-grid offsets
+/// that span the row window, the bridge, the deep store and both clamped
+/// ends; whole-row values() blocks; and one values_at() batch with repeats.
+void probe(const History& h, double t, double dt, std::size_t rows_var,
+           std::vector<double>& out) {
+  for (const double back : {-1.0, 0.0, 0.5, 1.0, 3.0, 9.25, 17.0, 31.0, 40.5,
+                            1e3, 2.5e4, 8.4e4, 8.6e4, 1e6}) {
+    for (const double frac : {0.0, 0.37}) {
+      const double q = t - (back + frac) * dt;
+      out.push_back(h.value(0, q));
+      out.push_back(h.value(rows_var, q));
+    }
+  }
+  for (const double back : {0.5, 2.0, 12.0, 5e4, 1e6}) {
+    const std::span<const double> row = h.values(t - back * dt, 0, h.dim());
+    out.insert(out.end(), row.begin(), row.end());
+  }
+  const std::vector<double> times = {t - 7.5 * dt, t - 7.5 * dt, t - 2e4 * dt,
+                                     t - 7.5 * dt, t - 3.1 * dt};
+  std::vector<double> vals(times.size());
+  h.values_at(0, times, vals);
+  out.insert(out.end(), vals.begin(), vals.end());
+}
+
+std::uint64_t digest(const std::vector<double>& x) {
+  return fnv1a64(std::string_view(reinterpret_cast<const char*>(x.data()),
+                                  x.size() * sizeof(double)));
+}
+
+/// The lookup counters a pinned run armed and counted.
+struct LookupCounts {
+  std::uint64_t delayed = 0;
+  std::uint64_t clamped = 0;
+  std::uint64_t hint_hits = 0;
+};
+
+struct PinnedRun {
+  std::uint64_t state_digest = 0;  // end state
+  std::uint64_t probe_digest = 0;  // every probe() after every segment
+  std::uint64_t steps_retried = 0;
+  LookupCounts counts;
+};
+
+/// Runs `model` from x0 through each segment end, probing after each, with
+/// the lookup counters armed from zero for the whole run.
+PinnedRun run_pinned(const FluidModel& model, std::vector<double> x0,
+                     std::size_t rows_var, const std::vector<double>& ends,
+                     std::vector<double> rejections) {
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::reset();
+  const double dt = model.suggested_dt();
+  DdeSolver solver(model, std::move(x0), 0.0, dt);
+  solver.set_guard(reject_at(std::move(rejections)));
+  std::vector<double> probes;
+  for (const double end : ends) {
+    solver.run_until(end, nullptr, 0.0);
+    probe(solver.history(), solver.time(), dt, rows_var, probes);
+  }
+  PinnedRun run;
+  const std::span<const double> x = solver.state();
+  run.state_digest = digest(std::vector<double>(x.begin(), x.end()));
+  run.probe_digest = digest(probes);
+  run.steps_retried = solver.steps_retried();
+#if !defined(ECND_OBS_DISABLED)
+  const std::vector<obs::detail::MetricRow> rows = obs::detail::metric_rows();
+  const std::vector<std::uint64_t> values = obs::detail::task_scalars();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].name == "fluid.delayed_lookups") run.counts.delayed = values[i];
+    if (rows[i].name == "fluid.lookup_clamped") run.counts.clamped = values[i];
+    if (rows[i].name == "fluid.lookup_hint_hits") run.counts.hint_hits = values[i];
+  }
+#endif
+  obs::reset();
+  obs::set_metrics_enabled(was_enabled);
+  return run;
+}
+
+void expect_counts(const LookupCounts& got, const LookupCounts& want) {
+#if !defined(ECND_OBS_DISABLED)
+  EXPECT_EQ(got.delayed, want.delayed);
+  EXPECT_EQ(got.clamped, want.clamped);
+  EXPECT_EQ(got.hint_hits, want.hint_hits);
+#else
+  (void)got;
+  (void)want;
+#endif
+}
+
+TEST(HistoryPins, LongGuardedRunsMatchParent) {
+  {
+    // Patched TIMELY, 3 flows, 100 us feedback jitter: the queue's deep
+    // store spans about 85k samples and jittered lookups jump backward.
+    TimelyFluidParams p = patched_timely_defaults();
+    p.num_flows = 3;
+    p.feedback_jitter = JitterProcess(100e-6, 20e-6, 4242);
+    const PatchedTimelyFluidModel m(p);
+    std::vector<double> x0 = m.initial_state();
+    x0[m.queue_index()] = 200.0;
+    for (int i = 0; i < 3; ++i) {
+      x0[m.rate_index(i)] = m.capacity_pps() / 3.0 * (0.8 + 0.2 * i);
+    }
+    const double dt = m.suggested_dt();
+    std::vector<double> rejections = {3 * dt, 1e-3, 1e-3};
+    for (int k = 0; k < 40; ++k) rejections.push_back(0.03 + (k - 0.25) * dt);
+    rejections.push_back(0.062 - 20 * dt);
+    rejections.push_back(0.078 - 3 * dt);
+    const PinnedRun run = run_pinned(m, std::move(x0), m.rate_index(1),
+                                     {0.005, 0.03 + 45 * dt, 0.062, 0.078}, rejections);
+    EXPECT_EQ(run.state_digest, 6939724140862234070u);
+    EXPECT_EQ(run.probe_digest, 11850908906459855621u);
+    EXPECT_EQ(run.steps_retried, 44u);
+    expect_counts(run.counts, {3567416, 11051, 1414911});
+  }
+  {
+    // DCQCN, 3 flows from inside the marking band: full rows only.
+    DcqcnFluidParams p;
+    p.num_flows = 3;
+    const DcqcnFluidModel m(p);
+    std::vector<double> x0 = m.initial_state();
+    x0[m.queue_index()] = 100.0;
+    for (int i = 0; i < 3; ++i) {
+      x0[m.rate_index(i)] = m.capacity_pps() / 3.0 * (0.7 + 0.3 * i);
+    }
+    const double dt = m.suggested_dt();
+    std::vector<double> rejections = {3 * dt, 2e-3, 2e-3};
+    for (int k = 0; k < 40; ++k) rejections.push_back(5e-3 + (k - 0.25) * dt);
+    rejections.push_back(0.012 - 3 * dt);
+    const PinnedRun run = run_pinned(m, std::move(x0), m.rate_index(1),
+                                     {0.001, 5e-3 + 45 * dt, 0.009, 0.012}, rejections);
+    EXPECT_EQ(run.state_digest, 17281477372355948524u);
+    EXPECT_EQ(run.probe_digest, 12198627065235726822u);
+    EXPECT_EQ(run.steps_retried, 43u);
+    expect_counts(run.counts, {192968, 202, 192448});
+  }
 }
 
 }  // namespace
