@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <utility>
 
@@ -18,8 +19,9 @@ namespace {
 // fluid.rhs_evals is 4x the attempted RK4 advances; fluid.lookup_clamped
 // counts delayed-state reads that fell off either end of the history window;
 // fluid.lookup_hint_hits counts interior reads served by the monotonic
-// cursor walk instead of a binary search (close to 100% of interior reads
-// for the forward-moving RK4 lookup pattern).
+// cursor walk (close to 100% of interior reads for the forward-moving RK4
+// lookup pattern) and values_at() repeats; reads resolved by the computed
+// bracket or its binary search are not counted.
 const obs::Counter kRk4Steps = obs::counter("fluid.rk4_steps");
 const obs::Counter kRhsEvals = obs::counter("fluid.rhs_evals");
 const obs::Counter kStepRetries = obs::counter("fluid.step_retries");
@@ -28,74 +30,145 @@ const obs::Counter kLookupClamped = obs::counter("fluid.lookup_clamped");
 const obs::Counter kLookupHintHits = obs::counter("fluid.lookup_hint_hits");
 
 // A stale cursor can lag arbitrarily far behind a forward jump; walking more
-// than a few entries costs more than restarting the binary search.
+// than a few entries costs more than computing the bracket afresh.
 constexpr int kMaxHintWalk = 8;
+
+/// Linear interpolation between the samples (t_lo, v_lo) and (t_hi, v_hi);
+/// the later value when they share a time. Every scalar lookup uses this
+/// one expression, so all of them agree bit for bit.
+double lerp(double t, double t_lo, double t_hi, double v_lo, double v_hi) {
+  const double span = t_hi - t_lo;
+  if (span <= 0.0) return v_hi;
+  const double w = (t - t_lo) / span;
+  return v_lo + w * (v_hi - v_lo);
+}
 
 }  // namespace
 
-void History::append(double t, std::span<const double> x) {
-  assert(x.size() == dim_);
-  assert(times_.empty() || t >= times_.back());
-  times_.push_back(t);
-  states_.insert(states_.end(), x.begin(), x.end());
+void History::Ring::push(double t, const double* row) {
+  if (size() == capacity) reserve(std::max<std::size_t>(4, 2 * capacity));
+  const std::size_t s = slot(end);
+  if (s == times.size()) {  // the slots are still filling
+    times.push_back(t);
+    vals.insert(vals.end(), row, row + width);
+  } else {
+    times[s] = t;
+    std::copy(row, row + width, vals.data() + s * width);
+  }
+  ++end;
 }
 
-std::size_t History::locate_in(const std::vector<double>& times,
-                               std::size_t start, std::size_t& cursor,
-                               double t) {
-  const std::size_t n = times.size();
+void History::Ring::reserve(std::size_t n) {
+  assert(n >= size());
+  std::vector<double> new_times;
+  std::vector<double> new_vals;
+  new_times.reserve(n);
+  new_vals.reserve(n * width);
+  for (std::size_t i = begin; i < end; ++i) {
+    new_times.push_back(time(i));
+    new_vals.insert(new_vals.end(), row(i), row(i) + width);
+  }
+  times = std::move(new_times);
+  vals = std::move(new_vals);
+  capacity = n;
+  head = 0;
+}
+
+std::size_t History::Ring::lower_bound(std::size_t lo, double t) const {
+  std::size_t count = end - lo;
+  while (count > 0) {
+    const std::size_t half = count / 2;
+    if (time(lo + half) < t) {
+      lo += half + 1;
+      count -= half + 1;
+    } else {
+      count = half;
+    }
+  }
+  return lo;
+}
+
+std::size_t History::Ring::bracket(double t) const {
+  // The solver appends at t0 + k*dt, so the answer is about k =
+  // ceil((t - t_first) / dt) samples past begin, with dt the mean spacing.
+  // Rounding, guarded sub-steps and hand-built histories put samples off
+  // that grid, so the guess is only trusted once times[k-1] < t <= times[k]
+  // holds, which pins down lower_bound's index.
+  const std::size_t last = end - 1;
+  const double t_first = time(begin);
+  const double gaps = static_cast<double>(last - begin);
+  const double pos = std::ceil((t - t_first) / (time(last) - t_first) * gaps);
+  const std::size_t k =
+      begin + (pos > 1.0 ? static_cast<std::size_t>(std::min(pos, gaps)) : 1);
+  if (time(k - 1) < t) {
+    if (t <= time(k)) return k;
+    if (k < last && t <= time(k + 1)) return k + 1;
+  } else if (k - 1 > begin && time(k - 2) < t) {
+    return k - 1;
+  }
+  return lower_bound(begin, t);
+}
+
+void History::append(double t, std::span<const double> x) {
+  assert(x.size() == dim_);
+  if (!empty() && !(t >= last_time())) {
+    char detail[160];
+    std::snprintf(detail, sizeof(detail),
+                  "sample at t=%.17g s is earlier than the newest sample at "
+                  "t=%.17g s; samples must be appended in time order",
+                  t, last_time());
+    throw InvariantViolation(
+        Diagnostic::make("History", "t", t, last_time(), detail));
+  }
+  rows_.push(t, x.data());
+}
+
+void History::reserve(std::size_t rows, std::size_t deep_rows) {
+  rows_.reserve(std::max(rows, rows_.size()));
+  if (deep_.width > 0) deep_.reserve(std::max(deep_rows, deep_.size()));
+}
+
+std::size_t History::locate(const Ring& r, std::size_t& cursor, double t) {
   std::size_t hi = cursor;
-  // The hint brackets a valid search start iff times[hi-1] < t: every index
-  // below hi is then < t too, so the first index with times[i] >= t lies at
-  // or ahead of hi — exactly what lower_bound over [start, n) would return.
-  if (hi > start && hi < n && times[hi - 1] < t) {
+  // The hint brackets a valid search start iff time(hi-1) < t: every index
+  // below hi is then < t too, so the first index with time >= t lies at or
+  // ahead of hi — exactly what lower_bound over the live samples returns.
+  // A cursor at or below begin is stale: its slot may hold a newer sample.
+  if (hi > r.begin && hi < r.end && r.time(hi - 1) < t) {
     for (int walked = 0; walked < kMaxHintWalk; ++walked) {
-      if (times[hi] >= t) {
+      if (r.time(hi) >= t) {
         kLookupHintHits.add();
         cursor = hi;
         return hi;
       }
-      ++hi;  // cannot pass n-1: callers guarantee t <= times.back()
+      ++hi;  // cannot pass end-1: callers guarantee t <= the newest time
     }
   }
-  const auto begin = times.begin() + static_cast<std::ptrdiff_t>(start);
-  hi = static_cast<std::size_t>(std::lower_bound(begin, times.end(), t) -
-                                times.begin());
-  cursor = hi;
-  return hi;
+  cursor = r.bracket(t);
+  return cursor;
 }
 
 void History::set_deep_retention(std::size_t var_begin, std::size_t var_count) {
-  assert(times_.empty());
+  assert(empty());
   assert(var_count > 0 && var_begin + var_count <= dim_);
   deep_begin_ = var_begin;
-  deep_count_ = var_count;
+  deep_.width = var_count;
 }
 
 double History::deep_value(std::size_t var, double t) const {
   const std::size_t col = var - deep_begin_;
-  const std::size_t m = deep_times_.size();
-  if (t > deep_times_[m - 1]) {
-    // The row store starts exactly one sample after the deep store ends, so
-    // a query between the two brackets across the boundary pair — the same
+  const std::size_t last = deep_.end - 1;
+  if (t > deep_.time(last)) {
+    // The row ring starts exactly one sample after the deep ring ends, so a
+    // query between the two brackets across the boundary pair — the same
     // adjacent samples (and the same interpolation expression) an untrimmed
     // History would use.
-    const double lo_t = deep_times_[m - 1];
-    const double vlo = deep_vals_[(m - 1) * deep_count_ + col];
-    const double vhi = states_[start_ * dim_ + var];
-    const double span = times_[start_] - lo_t;
-    if (span <= 0.0) return vhi;
-    const double w = (t - lo_t) / span;
-    return vlo + w * (vhi - vlo);
+    return lerp(t, deep_.time(last), rows_.time(rows_.begin),
+                deep_.row(last)[col], rows_.row(rows_.begin)[var]);
   }
-  const std::size_t hi = locate_in(deep_times_, deep_start_, deep_cursor_, t);
-  const std::size_t lo = hi - 1;
-  const double span = deep_times_[hi] - deep_times_[lo];
-  const double vlo = deep_vals_[lo * deep_count_ + col];
-  const double vhi = deep_vals_[hi * deep_count_ + col];
-  if (span <= 0.0) return vhi;
-  const double w = (t - deep_times_[lo]) / span;
-  return vlo + w * (vhi - vlo);
+  const std::size_t hi = locate(deep_, deep_cursor_, t);
+  return lerp(t, deep_.time(hi - 1), deep_.time(hi), deep_.row(hi - 1)[col],
+              deep_.row(hi)[col]);
 }
 
 std::span<const double> History::deep_clamped_range(
@@ -104,12 +177,11 @@ std::span<const double> History::deep_clamped_range(
   for (std::size_t v = 0; v < var_count; ++v) {
     const std::size_t var = var_begin + v;
     if (deep_covers(var)) {
-      batch_buf_[v] =
-          t > deep_times_[deep_start_]
-              ? deep_value(var, t)
-              : deep_vals_[deep_start_ * deep_count_ + (var - deep_begin_)];
+      batch_buf_[v] = t > deep_.time(deep_.begin)
+                          ? deep_value(var, t)
+                          : deep_.row(deep_.begin)[var - deep_begin_];
     } else {
-      batch_buf_[v] = states_[start_ * dim_ + var];
+      batch_buf_[v] = rows_.row(rows_.begin)[var];
     }
   }
   return {batch_buf_.data(), var_count};
@@ -117,63 +189,59 @@ std::span<const double> History::deep_clamped_range(
 
 double History::value(std::size_t var, double t) const {
   assert(var < dim_);
-  assert(!times_.empty());
+  assert(!empty());
   obs::ProfScope lookup_scope("fluid.history");
   kDelayedLookups.add();
-  const std::size_t n = times_.size();
-  if (t <= times_[start_]) {
-    if (deep_covers(var) && deep_start_ < deep_times_.size()) {
-      if (t > deep_times_[deep_start_]) return deep_value(var, t);
+  const std::size_t first = rows_.begin;
+  const std::size_t last = rows_.end - 1;
+  if (t <= rows_.time(first)) {
+    if (deep_covers(var) && deep_.size() > 0) {
+      if (t > deep_.time(deep_.begin)) return deep_value(var, t);
       kLookupClamped.add();
-      return deep_vals_[deep_start_ * deep_count_ + (var - deep_begin_)];
+      return deep_.row(deep_.begin)[var - deep_begin_];
     }
     kLookupClamped.add();
-    return states_[start_ * dim_ + var];
+    return rows_.row(first)[var];
   }
-  if (t >= times_[n - 1]) {
+  if (t >= rows_.time(last)) {
     kLookupClamped.add();
-    return states_[(n - 1) * dim_ + var];
+    return rows_.row(last)[var];
   }
-  const std::size_t hi = locate(t);
-  const std::size_t lo = hi - 1;
-  const double span = times_[hi] - times_[lo];
-  const double vlo = states_[lo * dim_ + var];
-  const double vhi = states_[hi * dim_ + var];
-  if (span <= 0.0) return vhi;
-  const double w = (t - times_[lo]) / span;
-  return vlo + w * (vhi - vlo);
+  const std::size_t hi = locate(rows_, cursor_, t);
+  return lerp(t, rows_.time(hi - 1), rows_.time(hi), rows_.row(hi - 1)[var],
+              rows_.row(hi)[var]);
 }
 
 std::span<const double> History::values(double t, std::size_t var_begin,
                                         std::size_t var_count) const {
-  assert(!times_.empty());
+  assert(!empty());
   assert(var_begin + var_count <= dim_);
   obs::ProfScope lookup_scope("fluid.history");
   kDelayedLookups.add();
-  const std::size_t n = times_.size();
-  if (t <= times_[start_]) {
-    if (deep_count_ > 0 && deep_start_ < deep_times_.size() &&
-        var_begin < deep_begin_ + deep_count_ &&
+  const std::size_t first = rows_.begin;
+  const std::size_t last = rows_.end - 1;
+  if (t <= rows_.time(first)) {
+    if (deep_.size() > 0 && var_begin < deep_begin_ + deep_.width &&
         deep_begin_ < var_begin + var_count) {
       return deep_clamped_range(t, var_begin, var_count);
     }
     kLookupClamped.add();
-    return {states_.data() + start_ * dim_ + var_begin, var_count};
+    return {rows_.row(first) + var_begin, var_count};
   }
-  if (t >= times_[n - 1]) {
+  if (t >= rows_.time(last)) {
     kLookupClamped.add();
-    return {states_.data() + (n - 1) * dim_ + var_begin, var_count};
+    return {rows_.row(last) + var_begin, var_count};
   }
-  const std::size_t hi = locate(t);
-  const std::size_t lo = hi - 1;
-  const double span = times_[hi] - times_[lo];
-  const double* row_lo = states_.data() + lo * dim_ + var_begin;
-  const double* row_hi = states_.data() + hi * dim_ + var_begin;
+  const std::size_t hi = locate(rows_, cursor_, t);
+  const double t_lo = rows_.time(hi - 1);
+  const double span = rows_.time(hi) - t_lo;
+  const double* row_lo = rows_.row(hi - 1) + var_begin;
+  const double* row_hi = rows_.row(hi) + var_begin;
   if (span <= 0.0) return {row_hi, var_count};
-  const double w = (t - times_[lo]) / span;
+  const double w = (t - t_lo) / span;
   batch_buf_.resize(var_count);
   for (std::size_t v = 0; v < var_count; ++v) {
-    // Same expression as value(): results are bit-identical either way.
+    // Same expression as lerp(): results are bit-identical either way.
     batch_buf_[v] = row_lo[v] + w * (row_hi[v] - row_lo[v]);
   }
   return {batch_buf_.data(), var_count};
@@ -203,66 +271,31 @@ void History::values_at(std::size_t var, std::span<const double> times,
 void History::trim_before(double t_keep) { trim_before(t_keep, t_keep); }
 
 void History::trim_before(double t_keep_rows, double t_keep_deep) {
-  const std::size_t n = times_.size();
-  if (n >= 3) {
-    // First index past start_ with times_[i] >= t_keep; the entry before it
-    // is the newest point still needed to interpolate across t_keep.
-    const auto begin = times_.begin() + static_cast<std::ptrdiff_t>(start_ + 1);
-    const std::size_t first_ge = static_cast<std::size_t>(
-        std::lower_bound(begin, times_.end(), t_keep_rows) - times_.begin());
-    const std::size_t new_start = std::min(first_ge - 1, n - 2);
-    if (new_start > start_) {
-      if (deep_count_ > 0) {
-        // Move the dropped rows' deep-retained columns into the side store
-        // before the rows become unreachable.
-        for (std::size_t i = start_; i < new_start; ++i) {
-          deep_times_.push_back(times_[i]);
-          const double* row = states_.data() + i * dim_ + deep_begin_;
-          deep_vals_.insert(deep_vals_.end(), row, row + deep_count_);
+  if (rows_.size() >= 3) {
+    // The sample before the first one at or after t_keep is the newest one
+    // still needed to interpolate across t_keep; at least two stay.
+    const std::size_t keep_from =
+        std::min(rows_.lower_bound(rows_.begin + 1, t_keep_rows) - 1,
+                 rows_.end - 2);
+    if (keep_from > rows_.begin) {
+      if (deep_.width > 0) {
+        // Move the dropped rows' deep-retained columns into the deep ring
+        // before their slots can be reused.
+        for (std::size_t i = rows_.begin; i < keep_from; ++i) {
+          deep_.push(rows_.time(i), rows_.row(i) + deep_begin_);
         }
       }
-      start_ = new_start;
-      // Physically compact occasionally to bound memory. The byte-based
-      // clause matters for wide systems (10k-flow rows are ~240KB each):
-      // waiting for 4096 dead rows would hold a gigabyte of dead prefix.
-      if ((start_ > 4096 || start_ * dim_ > (std::size_t{1} << 20)) &&
-          start_ > times_.size() / 2) {
-        times_.erase(times_.begin(),
-                     times_.begin() + static_cast<std::ptrdiff_t>(start_));
-        states_.erase(
-            states_.begin(),
-            states_.begin() + static_cast<std::ptrdiff_t>(start_ * dim_));
-        // Shift the cursor with the data; a cursor that pointed into the
-        // erased prefix is simply invalidated (locate() re-validates before
-        // trusting it).
-        cursor_ = cursor_ >= start_ ? cursor_ - start_ : 0;
-        start_ = 0;
-      }
+      rows_.drop_before(keep_from);
     }
   }
-  if (deep_count_ == 0) return;
-  // Trim the deep store to its own (longer) window. Keep the bracket sample
-  // before t_keep_deep; the store may shrink to a single sample (the row
-  // store continues the timeline).
-  const std::size_t m = deep_times_.size();
-  if (m - deep_start_ >= 2) {
-    const auto dbegin =
-        deep_times_.begin() + static_cast<std::ptrdiff_t>(deep_start_ + 1);
-    const std::size_t first_ge = static_cast<std::size_t>(
-        std::lower_bound(dbegin, deep_times_.end(), t_keep_deep) -
-        deep_times_.begin());
-    const std::size_t new_start = std::min(first_ge - 1, m - 1);
-    if (new_start > deep_start_) deep_start_ = new_start;
-  }
-  if (deep_start_ > 4096 && deep_start_ > deep_times_.size() / 2) {
-    deep_times_.erase(
-        deep_times_.begin(),
-        deep_times_.begin() + static_cast<std::ptrdiff_t>(deep_start_));
-    deep_vals_.erase(deep_vals_.begin(),
-                     deep_vals_.begin() + static_cast<std::ptrdiff_t>(
-                                              deep_start_ * deep_count_));
-    deep_cursor_ = deep_cursor_ >= deep_start_ ? deep_cursor_ - deep_start_ : 0;
-    deep_start_ = 0;
+  // Trim the deep ring to its own (longer) window. Keep the bracket sample
+  // before t_keep_deep; the ring may shrink to a single sample (the row ring
+  // continues the timeline).
+  if (deep_.size() >= 2) {
+    const std::size_t keep_from =
+        std::min(deep_.lower_bound(deep_.begin + 1, t_keep_deep) - 1,
+                 deep_.end - 1);
+    if (keep_from > deep_.begin) deep_.drop_before(keep_from);
   }
 }
 
@@ -279,6 +312,8 @@ DdeSolver::DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
       k3_(system.dim()),
       k4_(system.dim()),
       tmp_(system.dim()),
+      keep_rows_(system.max_row_delay() * 2.0 + 10.0 * dt),
+      keep_deep_(system.max_delay() * 2.0 + 10.0 * dt),
       last_trim_(t0) {
   const std::size_t n = system_.dim();
   if (x_.size() != n) {
@@ -308,10 +343,21 @@ DdeSolver::DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
     }
     covered = b.first + b.count;
   }
-  if (system.max_row_delay() < system.max_delay()) {
+  const bool deep = system.max_row_delay() < system.max_delay();
+  if (deep) {
     const auto [first, count] = system.deep_vars();
     history_.set_deep_retention(first, count);
   }
+  // Size both history rings once. Just before commit() trims, a ring holds
+  // what the previous trim kept (its window plus the bracket sample) and
+  // the steps since, at most about keep_rows_ / dt of them; 8 samples
+  // cover the rounding of both counts. Windows too long to count reserve
+  // nothing, and the rings grow as they fill.
+  const auto samples = [this](double window) -> std::size_t {
+    const double n = std::ceil(window / dt_) + std::ceil(keep_rows_ / dt_) + 8.0;
+    return n > 0.0 && n < 1e12 ? static_cast<std::size_t>(n) : 0;
+  };
+  history_.reserve(samples(keep_rows_), deep ? samples(keep_deep_) : 0);
   history_.append(t_, x_);
 }
 
@@ -374,10 +420,8 @@ void DdeSolver::commit(double t_new) {
   // Trim history we can never look back into again (keep 2x max delay).
   // Full rows only need the row-delay window; deep-retained variables keep
   // the full max_delay() horizon (the two coincide for most systems).
-  const double keep = system_.max_row_delay() * 2.0 + 10.0 * dt_;
-  if (t_ - last_trim_ > keep) {
-    const double keep_deep = system_.max_delay() * 2.0 + 10.0 * dt_;
-    history_.trim_before(t_ - keep, t_ - keep_deep);
+  if (t_ - last_trim_ > keep_rows_) {
+    history_.trim_before(t_ - keep_rows_, t_ - keep_deep_);
     last_trim_ = t_;
   }
 }

@@ -38,19 +38,33 @@ namespace ecnd::fluid {
 /// Dense solution history: state vectors recorded at each accepted step.
 /// Provides interpolated random access for delayed right-hand-side terms.
 ///
+/// Storage is a history ring: samples sit in fixed-capacity rings addressed
+/// by a logical sample index that never shifts (the i-th append is sample
+/// i). Trimming only advances a ring's oldest live index, and an append
+/// reuses the oldest free slot, so no sample is ever moved or compacted.
+/// DdeSolver sizes the rings once, from the windows it trims to; a ring
+/// grows only when more samples arrive than that window holds (guarded
+/// sub-steps, or a History filled without a solver).
+///
 /// Lookups are amortized O(1): successive delayed reads within an RK4 step
 /// are non-decreasing in t per delay lane, so a monotonic cursor remembers
-/// the last interpolation bracket and walks forward from it, falling back to
-/// binary search on backward jumps (e.g. TIMELY's per-flow tau* lanes).
+/// the last interpolation bracket and walks forward from it. On a miss
+/// (backward jumps, e.g. TIMELY's jittered tau' lanes) the bracket index is
+/// computed from the samples' even spacing, checked, and moved one step
+/// either way; a binary search runs only when that check fails.
 class History {
  public:
-  explicit History(std::size_t dim) : dim_(dim) {}
+  explicit History(std::size_t dim) : dim_(dim), rows_(dim), deep_(0) {}
 
   std::size_t dim() const { return dim_; }
-  bool empty() const { return times_.empty(); }
-  double first_time() const { return times_.empty() ? 0.0 : times_.front(); }
-  double last_time() const { return times_.empty() ? 0.0 : times_.back(); }
+  bool empty() const { return rows_.size() == 0; }
+  /// Oldest retained sample time (0 when empty).
+  double first_time() const { return empty() ? 0.0 : rows_.time(rows_.begin); }
+  double last_time() const { return empty() ? 0.0 : rows_.time(rows_.end - 1); }
 
+  /// Record the state x at time t. Throws InvariantViolation naming both
+  /// times when t is earlier than the newest sample (or NaN): every search
+  /// relies on sorted times.
   void append(double t, std::span<const double> x);
 
   /// Value of state variable `var` at time t (linear interpolation, clamped
@@ -78,7 +92,7 @@ class History {
 
   /// Enable split retention: trim_before(t_keep, t_keep_deep) then keeps
   /// full state rows back to t_keep only, while preserving the variables
-  /// [var_begin, var_begin + var_count) in a narrow side store back to
+  /// [var_begin, var_begin + var_count) in a narrow deep ring back to
   /// t_keep_deep. For wide systems whose long-delay reads touch few
   /// variables (TIMELY at 10k flows: 20k-wide rows, queue-only lookbacks of
   /// milliseconds) this is the difference between megabytes and gigabytes
@@ -87,8 +101,8 @@ class History {
   /// Must be called before the first append().
   void set_deep_retention(std::size_t var_begin, std::size_t var_count);
 
-  /// Drop history strictly older than t_keep (ring-buffer style trimming so
-  /// long runs don't grow unboundedly). Keeps at least two points.
+  /// Drop history strictly older than t_keep, so long runs don't grow
+  /// unboundedly. Keeps at least two points.
   void trim_before(double t_keep);
 
   /// Split-retention trim: full rows back to t_keep_rows, deep-retained
@@ -97,46 +111,84 @@ class History {
   void trim_before(double t_keep_rows, double t_keep_deep);
 
  private:
-  /// First index in (start, size) with times[i] >= t, walking forward from
-  /// the cursor hint when possible. Precondition:
-  /// times[start] < t <= times.back(). Updates the cursor.
-  static std::size_t locate_in(const std::vector<double>& times,
-                               std::size_t start, std::size_t& cursor,
-                               double t);
-  /// locate_in over the full-row store.
-  std::size_t locate(double t) const {
-    return locate_in(times_, start_, cursor_, t);
-  }
+  friend class DdeSolver;
+
+  /// Samples of `width` values each plus their times. Sample i stays in
+  /// slot head + (i - begin), wrapped at the capacity, while
+  /// begin <= i < end. The slots fill in order up to the capacity and are
+  /// reused from then on, so a reservation costs memory only as it fills.
+  struct Ring {
+    explicit Ring(std::size_t w) : width(w) {}
+
+    std::size_t size() const { return end - begin; }
+    std::size_t slot(std::size_t i) const {
+      const std::size_t s = head + (i - begin);
+      return s < capacity ? s : s - capacity;
+    }
+    double time(std::size_t i) const { return times[slot(i)]; }
+    const double* row(std::size_t i) const {
+      return vals.data() + slot(i) * width;
+    }
+    /// Append sample `end` (time t, values row[0, width)), growing the ring
+    /// when it is full.
+    void push(double t, const double* row);
+    /// Forget the samples before i (begin <= i <= end).
+    void drop_before(std::size_t i) {
+      head = slot(i);
+      begin = i;
+    }
+    /// Room for n >= size() samples; the live ones move to slots from 0.
+    void reserve(std::size_t n);
+    /// First index in [lo, end) with time >= t, or end: what std::lower_bound
+    /// over those samples returns.
+    std::size_t lower_bound(std::size_t lo, double t) const;
+    /// lower_bound(begin, t) for time(begin) < t <= time(end - 1): the
+    /// bracket index guessed from the even spacing, checked, and moved one
+    /// step either way before a binary search.
+    std::size_t bracket(double t) const;
+
+    std::size_t width;
+    std::size_t capacity = 0;
+    std::size_t begin = 0;  // oldest live sample
+    std::size_t end = 0;    // one past the newest
+    std::size_t head = 0;   // slot of `begin`
+    std::vector<double> times;  // by slot
+    std::vector<double> vals;   // row-major: [slot * width + col]
+  };
+
+  /// Room for `rows` full rows and `deep_rows` deep samples (DdeSolver,
+  /// before the first append).
+  void reserve(std::size_t rows, std::size_t deep_rows);
+  /// First index of `r` with time >= t, walking forward from the cursor
+  /// hint when it is live and below t, else r.bracket(t). Precondition:
+  /// r.time(r.begin) < t <= r.time(r.end - 1). Updates the cursor.
+  static std::size_t locate(const Ring& r, std::size_t& cursor, double t);
   bool deep_covers(std::size_t var) const {
-    return deep_count_ > 0 && var >= deep_begin_ &&
-           var - deep_begin_ < deep_count_;
+    return deep_.width > 0 && var >= deep_begin_ &&
+           var - deep_begin_ < deep_.width;
   }
-  /// Interpolated deep-store read. Preconditions: deep_covers(var), the deep
-  /// store is non-empty, and deep_first < t <= times_[start_] (queries past
-  /// the row-store start bridge across the boundary sample pair).
+  /// Interpolated deep-ring read. Preconditions: deep_covers(var), the deep
+  /// ring is non-empty, and its first time < t <= the row ring's first
+  /// time (queries past the deep ring's newest sample bridge across the
+  /// boundary sample pair).
   double deep_value(std::size_t var, double t) const;
-  /// Batch-path fallback for t at/below the row-store start when the
-  /// requested range intersects the deep store: per-variable reads into
+  /// Batch-path fallback for t at/below the row ring's start when the
+  /// requested range intersects the deep ring: per-variable reads into
   /// batch_buf_, each matching value() bit for bit.
   std::span<const double> deep_clamped_range(double t, std::size_t var_begin,
                                              std::size_t var_count) const;
 
   std::size_t dim_;
-  std::vector<double> times_;
-  std::vector<double> states_;  // row-major: states_[i * dim_ + var]
-  std::size_t start_ = 0;       // logical start after trimming
-  mutable std::size_t cursor_ = 0;          // last interpolation bracket (hi)
+  Ring rows_;                               // full state rows
+  mutable std::size_t cursor_ = 0;          // last bracket (hi) in rows_
   mutable std::vector<double> batch_buf_;   // scratch row for values()
 
-  // Deep-retention side store (set_deep_retention): samples of variables
-  // [deep_begin_, deep_begin_ + deep_count_) for times strictly older than
-  // times_[start_], contiguous with the row store (its last sample is the
-  // row dropped most recently).
+  // Deep-retention ring (set_deep_retention): samples of variables
+  // [deep_begin_, deep_begin_ + deep_.width) for times strictly older than
+  // the row ring's first sample, contiguous with it (its newest sample is
+  // the row dropped most recently). Width 0 = split retention disabled.
   std::size_t deep_begin_ = 0;
-  std::size_t deep_count_ = 0;  // 0 = split retention disabled
-  std::vector<double> deep_times_;
-  std::vector<double> deep_vals_;  // row-major: [i * deep_count_ + col]
-  std::size_t deep_start_ = 0;
+  Ring deep_;
   mutable std::size_t deep_cursor_ = 0;
 };
 
@@ -262,6 +314,11 @@ class DdeSolver {
   Guard guard_;
   int max_step_halvings_ = 6;
   std::uint64_t steps_retried_ = 0;
+  // History windows commit() trims to: full rows back by keep_rows_ (twice
+  // the system's max_row_delay() plus 10 dt), deep-retained variables back
+  // by keep_deep_ (the same over max_delay()).
+  double keep_rows_;
+  double keep_deep_;
   double last_trim_ = 0.0;
 };
 

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <random>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -173,13 +176,15 @@ TEST(History, TrimPastTheEndKeepsAtLeastTwoPoints) {
   EXPECT_DOUBLE_EQ(h.value(0, 0.0), 2.0);  // clamped to the new start
 }
 
-TEST(History, PhysicalCompactionPreservesValues) {
-  // Long-run path: once the logical start passes the compaction threshold
-  // the buffers are physically erased; lookups must be unaffected.
+TEST(History, RingWrapAroundPreservesValues) {
+  // Long-run path: a trim every 10 samples keeps the last second (about
+  // 1010 samples), so the ring settles at 1024 slots and its slots wrap
+  // about ten times over 10001 samples; lookups must be unaffected.
   History h(1);
   for (int i = 0; i <= 10000; ++i) {
     double v = static_cast<double>(i);
     h.append(i * 1e-3, std::span<const double>(&v, 1));
+    if (i % 10 == 0) h.trim_before(i * 1e-3 - 1.0);
   }
   h.trim_before(9.0);
   EXPECT_NEAR(h.value(0, 9.5), 9500.0, 1e-6);
@@ -253,29 +258,147 @@ TEST(History, CursorHandlesForwardWalksAndBackwardJumps) {
   EXPECT_DOUBLE_EQ(h.value(0, 0.0005), 1.0);
 }
 
-TEST(History, CompactionBoundaryStaysInterpolationExact) {
-  // Drive the logical start past the physical-compaction threshold (4096)
-  // and check that lookups just above t_keep return the same interpolated
-  // values before and after the buffers are physically erased — i.e. the
-  // straddling point survives compaction and the cursor cache is remapped
-  // (or invalidated) rather than left pointing at shifted indices.
+TEST(History, RingWrapBoundaryStaysInterpolationExact) {
+  // A trim every 10 samples keeps about 500, so the ring settles at 512
+  // slots and wraps about 23 times over 12001 samples. A cursor primed on a
+  // sample whose slot a newer sample later reuses must count as stale
+  // rather than point at the newer sample, and a trim must keep the point
+  // straddling t_keep.
   History h(1);
-  for (int i = 0; i <= 12000; ++i) {
-    double v = 3.0 * i;
-    h.append(i * 1e-3, std::span<const double>(&v, 1));
-  }
-  // Prime the cursor deep into the prefix that is about to be erased.
+  const auto extend = [&h](int from, int to) {
+    for (int i = from; i <= to; ++i) {
+      double v = 3.0 * i;
+      h.append(i * 1e-3, std::span<const double>(&v, 1));
+      if (i % 10 == 0) h.trim_before(i * 1e-3 - 0.49);
+    }
+  };
+  extend(0, 1200);
+  // Prime the cursor on a sample whose slot is about to be reused.
   EXPECT_DOUBLE_EQ(h.value(0, 1.0005), 3001.5);
-  const double before_a = h.value(0, 7.0001);
-  const double before_b = h.value(0, 7.0015);
-  h.trim_before(7.0);  // start_ ≈ 6999 > 4096 and > size/2 → compacts
-  EXPECT_DOUBLE_EQ(h.value(0, 7.0001), before_a);
-  EXPECT_DOUBLE_EQ(h.value(0, 7.0015), before_b);
+  extend(1201, 12000);
+  const double before_a = h.value(0, 11.6001);
+  const double before_b = h.value(0, 11.6015);
+  EXPECT_NEAR(before_a, 3.0 * 11600 + 0.3, 1e-9);
+  EXPECT_NEAR(before_b, 3.0 * 11601 + 1.5, 1e-9);
+  h.trim_before(11.6);
+  EXPECT_DOUBLE_EQ(h.value(0, 11.6001), before_a);
+  EXPECT_DOUBLE_EQ(h.value(0, 11.6015), before_b);
   EXPECT_DOUBLE_EQ(h.value(0, 11.9995), 3.0 * 11999 + 1.5);
   // Lookups below the kept window clamp to the new start.
-  EXPECT_DOUBLE_EQ(h.value(0, 1.0), h.value(0, 6.999));
-  // And the batch path agrees after compaction too.
-  EXPECT_DOUBLE_EQ(h.values(7.0001, 0, 1)[0], before_a);
+  EXPECT_DOUBLE_EQ(h.value(0, 1.0), h.value(0, 11.599));
+  // And the batch path agrees after the trim too.
+  EXPECT_DOUBLE_EQ(h.values(11.6001, 0, 1)[0], before_a);
+}
+
+/// value(0, t) over samples (ts, vs) by a linear scan, with History's
+/// clamping and interpolation expression.
+double linear_scan(const std::vector<double>& ts, const std::vector<double>& vs,
+                   double t) {
+  if (t <= ts.front()) return vs.front();
+  if (t >= ts.back()) return vs.back();
+  std::size_t hi = 0;
+  while (ts[hi] < t) ++hi;
+  const double span = ts[hi] - ts[hi - 1];
+  if (span <= 0.0) return vs[hi];
+  const double w = (t - ts[hi - 1]) / span;
+  return vs[hi - 1] + w * (vs[hi] - vs[hi - 1]);
+}
+
+/// Appends samples (ts, vs) to a History, dropping about the first third
+/// halfway through so the rest wrap into the freed slots, then checks
+/// value() against linear_scan() on random queries (both clamped ends,
+/// exact sample times, near-forward steps) and on a forward sweep (the
+/// cursor walk).
+void expect_brackets_match_linear_scan(std::vector<double> ts,
+                                       std::vector<double> vs) {
+  History h(1);
+  const std::size_t half = ts.size() * 2 / 3;
+  for (std::size_t i = 0; i < half; ++i) h.append(ts[i], {&vs[i], 1});
+  const double cut = ts[half / 2] + 1e-9;
+  h.trim_before(cut);
+  for (std::size_t i = half; i < ts.size(); ++i) h.append(ts[i], {&vs[i], 1});
+  // The trim kept the sample before the first one at or after `cut`.
+  const auto kept = std::lower_bound(ts.begin(), ts.end(), cut) - ts.begin() - 1;
+  ts.erase(ts.begin(), ts.begin() + kept);
+  vs.erase(vs.begin(), vs.begin() + kept);
+
+  std::mt19937_64 rng(20161212);
+  std::uniform_real_distribution<double> anywhere(ts.front() - 1.0,
+                                                  ts.back() + 1.0);
+  for (int q = 0; q < 20000; ++q) {
+    double t = anywhere(rng);
+    if (q % 4 == 1) t = ts[rng() % ts.size()];  // exactly on a sample
+    if (q % 4 == 2) t = t * 0.999 + ts.back() * 0.001;  // near forward
+    EXPECT_EQ(h.value(0, t), linear_scan(ts, vs, t)) << "t=" << t;
+  }
+  for (std::size_t i = 1; i + 1 < ts.size(); ++i) {
+    const double t = 0.5 * (ts[i] + ts[i + 1]);
+    EXPECT_EQ(h.value(0, t), linear_scan(ts, vs, t)) << "t=" << t;
+  }
+}
+
+TEST(History, BracketMatchesLinearScanOnUnevenTimes) {
+  // Every path that finds a bracket — the cursor walk, the even-spacing
+  // guess, its one-step moves and the binary search — must land on the
+  // first sample at or after t, as a linear scan does.
+  std::vector<double> ts;
+  std::vector<double> vs;
+  // Geometric spacing (each gap 1% longer than the last) with repeated
+  // times: the even-spacing guess is wrong almost everywhere.
+  double t = 1.0;
+  double gap = 1e-4;
+  for (int i = 0; i < 1200; ++i) {
+    ts.push_back(t);
+    vs.push_back(100.0 * std::sin(0.05 * i));
+    if (i % 37 == 5) {
+      ts.push_back(t);
+      vs.push_back(-vs.back());
+    }
+    t += gap;
+    gap *= 1.01;
+  }
+  expect_brackets_match_linear_scan(ts, vs);
+
+  // A solver-like grid t = k * dt with off-grid sub-step samples and a
+  // repeated time: the guess is right or one step off either way.
+  ts.clear();
+  vs.clear();
+  const double dt = 3.5e-7;
+  for (int k = 0; k < 1500; ++k) {
+    ts.push_back(k * dt);
+    vs.push_back(std::cos(0.01 * k) + 1e-3 * k);
+    if (k % 211 == 17) {
+      ts.push_back((k + 0.5) * dt);
+      vs.push_back(vs.back() + 0.25);
+    }
+    if (k == 1300) {
+      ts.push_back(ts.back());
+      vs.push_back(vs.back() - 0.5);
+    }
+  }
+  expect_brackets_match_linear_scan(ts, vs);
+}
+
+TEST(History, AppendRejectsASampleEarlierThanTheNewest) {
+  History h(1);
+  const double v = 1.0;
+  h.append(1.0, {&v, 1});
+  h.append(1.0, {&v, 1});  // a repeated time is in order
+  try {
+    h.append(0.5, {&v, 1});
+    FAIL() << "an out-of-order sample was accepted";
+  } catch (const InvariantViolation& e) {
+    EXPECT_EQ(e.diagnostic().component, "History");
+    EXPECT_EQ(e.diagnostic().time, 0.5);
+    EXPECT_EQ(e.diagnostic().value, 1.0);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("sample at t=0.5 s"), std::string::npos) << what;
+    EXPECT_NE(what.find("newest sample at t=1 s"), std::string::npos) << what;
+  }
+  EXPECT_THROW(h.append(std::nan(""), {&v, 1}), InvariantViolation);
+  // Neither rejected sample entered the history.
+  EXPECT_EQ(h.last_time(), 1.0);
+  EXPECT_EQ(h.value(0, 5.0), 1.0);
 }
 
 TEST(DdeSolver, GuardRetryRealignsToNominalGrid) {
