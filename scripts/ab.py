@@ -12,7 +12,7 @@ Everything else comes from BENCHMARK.json: the workloads (default: all),
 the run length and each end-to-end metric's direction and bound. Every run
 uses seed 1, so every run also checks perfbench/reference.json bit for bit.
 Per workload: 10 pairs of runs, alternating which side goes first, then one
---trace 1 run per side for the exact work counters.
+--trace 1 run per side for the exact work and history-lookup counters.
 
 For each workload and end-to-end metric it prints each side's median
 [q1, q3], the change/base ratio, the pairs the change won and lost (ties
@@ -50,7 +50,8 @@ USAGE = "usage: scripts/ab.py <base-rev> [workload...]"
 PAIRS = 10
 SEED = 1
 COUNTERS = ("sim.events", "sim.pkt_tx", "fluid.rk4_steps", "fluid.rhs_evals",
-            "par.tasks")
+            "fluid.delayed_lookups", "fluid.lookup_clamped",
+            "fluid.hint_hit_ratio", "par.tasks")
 
 
 def quartiles(xs):
@@ -143,7 +144,7 @@ def compare(workload, sides, bench):
     print("\n| counter | base | change | |\n|---|---|---|---|")
     for name in COUNTERS:
         pair = [traced[side]["metrics"][name]["value"] for side in sides]
-        print(f"| {name} | {pair[0]:.0f} | {pair[1]:.0f} | "
+        print(f"| {name} | {pair[0]:.17g} | {pair[1]:.17g} | "
               f"{'' if pair[0] == pair[1] else 'DIFFERS'} |")
         record["counters"][name] = pair
 
