@@ -124,8 +124,8 @@ void History::append(double t, std::span<const double> x) {
 }
 
 void History::reserve(std::size_t rows, std::size_t deep_rows) {
-  rows_.reserve(std::max(rows, rows_.size()));
-  if (deep_.width > 0) deep_.reserve(std::max(deep_rows, deep_.size()));
+  rows_.reserve(rows);
+  deep_.reserve(deep_rows);
 }
 
 std::size_t History::locate(const Ring& r, std::size_t& cursor, double t) {
@@ -348,13 +348,14 @@ DdeSolver::DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
     const auto [first, count] = system.deep_vars();
     history_.set_deep_retention(first, count);
   }
-  // Size both history rings once. Just before commit() trims, a ring holds
-  // what the previous trim kept (its window plus the bracket sample) and
-  // the steps since, at most about keep_rows_ / dt of them; 8 samples
-  // cover the rounding of both counts. Windows too long to count reserve
-  // nothing, and the rings grow as they fill.
+  // Size both history rings once: a ring never holds more than its trim
+  // window plus the steps between two trims (about keep_rows_ / dt), and 8
+  // more samples cover the bracket sample and rounding. A window that is not
+  // finite, or too long to count, reserves nothing: that ring grows as it
+  // fills.
   const auto samples = [this](double window) -> std::size_t {
-    const double n = std::ceil(window / dt_) + std::ceil(keep_rows_ / dt_) + 8.0;
+    const double n =
+        std::ceil(window / dt_) + std::ceil(keep_rows_ / dt_) + 8.0;
     return n > 0.0 && n < 1e12 ? static_cast<std::size_t>(n) : 0;
   };
   history_.reserve(samples(keep_rows_), deep ? samples(keep_deep_) : 0);

@@ -5,7 +5,7 @@
 // ODEs whose right-hand sides reference *past* state: DCQCN's marking
 // probability and rate enter with control-loop delay tau*, TIMELY's queue
 // samples enter with the (state-dependent) feedback delay tau'. We integrate
-// them with a fixed-step classic RK4 scheme plus a dense history buffer;
+// them with a fixed-step classic RK4 scheme plus a dense history ring;
 // delayed state is read back through linear interpolation.
 //
 // Accuracy note: for RK4 stage evaluations at t + dt/2 and t + dt, a delayed
@@ -48,10 +48,10 @@ namespace ecnd::fluid {
 ///
 /// Lookups are amortized O(1): successive delayed reads within an RK4 step
 /// are non-decreasing in t per delay lane, so a monotonic cursor remembers
-/// the last interpolation bracket and walks forward from it. On a miss
-/// (backward jumps, e.g. TIMELY's jittered tau' lanes) the bracket index is
-/// computed from the samples' even spacing, checked, and moved one step
-/// either way; a binary search runs only when that check fails.
+/// the last interpolation bracket and walks forward from it. On a backward
+/// jump (e.g. TIMELY's per-flow tau* lanes, or feedback jitter) the bracket
+/// index is computed from the samples' even spacing, checked, and moved one
+/// step either way; a binary search runs only when that check fails.
 class History {
  public:
   explicit History(std::size_t dim) : dim_(dim), rows_(dim), deep_(0) {}
@@ -156,8 +156,8 @@ class History {
     std::vector<double> vals;   // row-major: [slot * width + col]
   };
 
-  /// Room for `rows` full rows and `deep_rows` deep samples (DdeSolver,
-  /// before the first append).
+  /// Room for `rows` full rows and `deep_rows` deep samples; DdeSolver
+  /// calls it once, before the first append.
   void reserve(std::size_t rows, std::size_t deep_rows);
   /// First index of `r` with time >= t, walking forward from the cursor
   /// hint when it is live and below t, else r.bracket(t). Precondition:

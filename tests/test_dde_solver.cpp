@@ -318,7 +318,8 @@ void expect_brackets_match_linear_scan(std::vector<double> ts,
   h.trim_before(cut);
   for (std::size_t i = half; i < ts.size(); ++i) h.append(ts[i], {&vs[i], 1});
   // The trim kept the sample before the first one at or after `cut`.
-  const auto kept = std::lower_bound(ts.begin(), ts.end(), cut) - ts.begin() - 1;
+  const auto kept =
+      std::lower_bound(ts.begin(), ts.end(), cut) - ts.begin() - 1;
   ts.erase(ts.begin(), ts.begin() + kept);
   vs.erase(vs.begin(), vs.begin() + kept);
 
