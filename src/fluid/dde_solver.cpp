@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <ranges>
 #include <string>
 #include <utility>
 
@@ -75,17 +76,10 @@ void History::Ring::reserve(std::size_t n) {
 }
 
 std::size_t History::Ring::lower_bound(std::size_t lo, double t) const {
-  std::size_t count = end - lo;
-  while (count > 0) {
-    const std::size_t half = count / 2;
-    if (time(lo + half) < t) {
-      lo += half + 1;
-      count -= half + 1;
-    } else {
-      count = half;
-    }
-  }
-  return lo;
+  const auto indices = std::views::iota(lo, end);
+  const auto first_at_or_after = std::ranges::partition_point(
+      indices, [this, t](std::size_t i) { return time(i) < t; });
+  return lo + static_cast<std::size_t>(first_at_or_after - indices.begin());
 }
 
 std::size_t History::Ring::bracket(double t) const {
@@ -118,7 +112,7 @@ void History::append(double t, std::span<const double> x) {
                   "t=%.17g s; samples must be appended in time order",
                   t, last_time());
     throw InvariantViolation(
-        Diagnostic::make("History", "t", t, last_time(), detail));
+        Diagnostic::make("History", "t", last_time(), t, detail));
   }
   rows_.push(t, x.data());
 }
