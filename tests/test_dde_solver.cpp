@@ -337,13 +337,13 @@ void expect_brackets_match_linear_scan(std::vector<double> ts,
 }
 
 TEST(History, BracketMatchesLinearScanOnUnevenTimes) {
-  // Every path that finds a bracket — the cursor walk, the even-spacing
-  // guess, its one-step moves and the binary search — must land on the
-  // first sample at or after t, as a linear scan does.
+  // Both paths that find a bracket — the cursor walk and the binary
+  // search — must land on the first sample at or after t, as a linear scan
+  // does.
   std::vector<double> ts;
   std::vector<double> vs;
   // Geometric spacing (each gap 1% longer than the last) with repeated
-  // times: the even-spacing guess is wrong almost everywhere.
+  // times.
   double t = 1.0;
   double gap = 1e-4;
   for (int i = 0; i < 1200; ++i) {
@@ -359,7 +359,7 @@ TEST(History, BracketMatchesLinearScanOnUnevenTimes) {
   expect_brackets_match_linear_scan(ts, vs);
 
   // A solver-like grid t = k * dt with off-grid sub-step samples and a
-  // repeated time: the guess is right or one step off either way.
+  // repeated time.
   ts.clear();
   vs.clear();
   const double dt = 3.5e-7;
@@ -399,6 +399,47 @@ TEST(History, AppendRejectsASampleEarlierThanTheNewest) {
   // Neither rejected sample entered the history.
   EXPECT_EQ(h.last_time(), 1.0);
   EXPECT_EQ(h.value(0, 5.0), 1.0);
+}
+
+TEST(History, NanLookupTimeClampsToTheOldestSample) {
+  // A NaN time fails every ordered comparison. It must clamp like a time
+  // before the window: a search would return the oldest live sample as the
+  // bracket's upper end and read the slot before it, which lies outside the
+  // ring whenever the oldest sample sits in slot 0.
+  const double nan = std::nan("");
+  const auto append = [](History& h, double t) {
+    const std::vector<double> row = {t, -t};
+    h.append(t, row);
+  };
+  History h(2);
+  for (int i = 0; i < 4; ++i) append(h, 0.125 * i);  // slots 0..3, full
+  EXPECT_EQ(h.value(0, nan), 0.0);
+  EXPECT_EQ(h.values(nan, 0, 2)[1], 0.0);
+  std::vector<double> out(2);
+  h.values_at(1, std::vector<double>{nan, nan}, out);
+  EXPECT_EQ(out, (std::vector<double>{0.0, 0.0}));
+  // Keep samples 2 and 3, append 4 and 5 into slots 0 and 1, then keep 4
+  // and 5: the oldest sample is back in slot 0, one lap later.
+  h.trim_before(0.3);
+  append(h, 0.5);
+  append(h, 0.625);
+  h.trim_before(0.55);
+  ASSERT_EQ(h.first_time(), 0.5);
+  EXPECT_EQ(h.value(0, nan), 0.5);
+  EXPECT_EQ(h.values(nan, 0, 2)[1], -0.5);
+
+  // With split retention a NaN reads the deep ring's oldest sample for the
+  // deep variable and the row ring's for the rest.
+  History split(2);
+  split.set_deep_retention(0, 1);
+  for (int i = 0; i < 6; ++i) append(split, 0.125 * i);
+  split.trim_before(0.4, 0.0);  // samples 0..2 move to the deep ring
+  ASSERT_EQ(split.first_time(), 0.375);
+  EXPECT_EQ(split.value(0, nan), 0.0);
+  EXPECT_EQ(split.value(1, nan), -0.375);
+  const auto both = split.values(nan, 0, 2);
+  EXPECT_EQ(both[0], 0.0);
+  EXPECT_EQ(both[1], -0.375);
 }
 
 TEST(DdeSolver, GuardRetryRealignsToNominalGrid) {
