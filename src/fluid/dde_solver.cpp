@@ -21,8 +21,8 @@ namespace {
 // counts delayed-state reads that fell off either end of the history window;
 // fluid.lookup_hint_hits counts interior reads served by the monotonic
 // cursor walk (close to 100% of interior reads for the forward-moving RK4
-// lookup pattern) and values_at() repeats; reads resolved by the binary
-// search are not counted.
+// lookup pattern) and values_at() repeats; reads resolved by the computed
+// bracket or its binary search are not counted.
 const obs::Counter kRk4Steps = obs::counter("fluid.rk4_steps");
 const obs::Counter kRhsEvals = obs::counter("fluid.rhs_evals");
 const obs::Counter kStepRetries = obs::counter("fluid.step_retries");
@@ -31,7 +31,7 @@ const obs::Counter kLookupClamped = obs::counter("fluid.lookup_clamped");
 const obs::Counter kLookupHintHits = obs::counter("fluid.lookup_hint_hits");
 
 // A stale cursor can lag arbitrarily far behind a forward jump; walking more
-// than a few entries costs more than a fresh binary search.
+// than a few entries costs more than computing the bracket afresh.
 constexpr int kMaxHintWalk = 8;
 
 /// Linear interpolation between the samples (t_lo, v_lo) and (t_hi, v_hi);
@@ -82,6 +82,22 @@ std::size_t History::Ring::lower_bound(std::size_t lo, double t) const {
   return lo + static_cast<std::size_t>(first_at_or_after - indices.begin());
 }
 
+std::size_t History::Ring::bracket(double t) const {
+  // The solver appends at t0 + k*dt, so the answer is about k =
+  // ceil((t - t_first) / dt) samples past begin, with dt the mean spacing.
+  // Rounding, guarded sub-steps and hand-built histories put samples off
+  // that grid, so the guess is only trusted once times[k-1] < t <= times[k]
+  // holds, which pins down lower_bound's index.
+  const std::size_t last = end - 1;
+  const double t_first = time(begin);
+  const double gaps = static_cast<double>(last - begin);
+  const double pos = std::ceil((t - t_first) / (time(last) - t_first) * gaps);
+  const std::size_t k =
+      begin + (pos > 1.0 ? static_cast<std::size_t>(std::min(pos, gaps)) : 1);
+  if (time(k - 1) < t && t <= time(k)) return k;
+  return lower_bound(begin, t);
+}
+
 void History::append(double t, std::span<const double> x) {
   assert(x.size() == dim_);
   if (!empty() && !(t >= last_time())) {
@@ -117,7 +133,7 @@ std::size_t History::locate(const Ring& r, std::size_t& cursor, double t) {
       ++hi;  // cannot pass end-1: callers guarantee t <= the newest time
     }
   }
-  cursor = r.lower_bound(r.begin, t);
+  cursor = r.bracket(t);
   return cursor;
 }
 

@@ -48,9 +48,10 @@ namespace ecnd::fluid {
 ///
 /// Lookups are amortized O(1): successive delayed reads within an RK4 step
 /// are non-decreasing in t per delay lane, so a monotonic cursor remembers
-/// the last interpolation bracket and walks forward from it; a backward
-/// jump (e.g. TIMELY's per-flow tau* lanes, or feedback jitter) falls back
-/// to a binary search over the live samples.
+/// the last interpolation bracket and walks forward from it. On a backward
+/// jump (e.g. TIMELY's per-flow tau* lanes, or feedback jitter) the bracket
+/// index is computed from the samples' even spacing and checked; a binary
+/// search runs only when that check fails.
 class History {
  public:
   explicit History(std::size_t dim) : dim_(dim), rows_(dim), deep_(0) {}
@@ -141,6 +142,10 @@ class History {
     /// First index in [lo, end) with time >= t, or end: what std::lower_bound
     /// over those samples returns.
     std::size_t lower_bound(std::size_t lo, double t) const;
+    /// lower_bound(begin, t) for time(begin) < t <= time(end - 1): the
+    /// bracket index computed from the even spacing when it checks out,
+    /// else a binary search.
+    std::size_t bracket(double t) const;
 
     std::size_t width;
     std::size_t capacity = 0;
@@ -155,9 +160,8 @@ class History {
   /// calls it once, before the first append.
   void reserve(std::size_t rows, std::size_t deep_rows);
   /// First index of `r` with time >= t, walking forward from the cursor
-  /// hint when it is live and below t, else r.lower_bound(r.begin, t).
-  /// Precondition: r.time(r.begin) < t <= r.time(r.end - 1). Updates the
-  /// cursor.
+  /// hint when it is live and below t, else r.bracket(t). Precondition:
+  /// r.time(r.begin) < t <= r.time(r.end - 1). Updates the cursor.
   static std::size_t locate(const Ring& r, std::size_t& cursor, double t);
   bool deep_covers(std::size_t var) const {
     return deep_.width > 0 && var >= deep_begin_ &&

@@ -337,13 +337,13 @@ void expect_brackets_match_linear_scan(std::vector<double> ts,
 }
 
 TEST(History, BracketMatchesLinearScanOnUnevenTimes) {
-  // Both paths that find a bracket — the cursor walk and the binary
-  // search — must land on the first sample at or after t, as a linear scan
-  // does.
+  // Every path that finds a bracket — the cursor walk, the index computed
+  // from the even spacing and the binary search behind it — must land on
+  // the first sample at or after t, as a linear scan does.
   std::vector<double> ts;
   std::vector<double> vs;
   // Geometric spacing (each gap 1% longer than the last) with repeated
-  // times.
+  // times: the computed index is wrong almost everywhere.
   double t = 1.0;
   double gap = 1e-4;
   for (int i = 0; i < 1200; ++i) {
@@ -359,7 +359,7 @@ TEST(History, BracketMatchesLinearScanOnUnevenTimes) {
   expect_brackets_match_linear_scan(ts, vs);
 
   // A solver-like grid t = k * dt with off-grid sub-step samples and a
-  // repeated time.
+  // repeated time: the computed index is mostly right.
   ts.clear();
   vs.clear();
   const double dt = 3.5e-7;
