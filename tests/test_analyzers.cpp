@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <optional>
 #include <vector>
 
 #include "core/timeseries.hpp"
@@ -294,6 +296,175 @@ TEST(WindowedFairness, PartialTrailingWindowFlushedByFinish) {
   ASSERT_EQ(r.windows.size(), 1u);
   // Jain(4, 6) = 100 / (2 * 52) = 0.9615...
   EXPECT_NEAR(r.windows[0].value, 100.0 / 104.0, 1e-9);
+}
+
+// --- AnalyzerPins: exact values on fixed irregular series -------------------
+// Every value below was recorded to 17 significant digits, so any change in
+// the analyzers' arithmetic, not just in their algorithm, fails here. The
+// series cover uneven spacing, repeated sample times, window ends between
+// samples, band and reference edges hit exactly, and windows that neither
+// the fairness grid step nor the analysis span divides.
+
+TimeSeries series_of(std::initializer_list<Sample> samples) {
+  TimeSeries ts("pin");
+  for (const Sample& s : samples) ts.push(s.t, s.value);
+  return ts;
+}
+
+// Around a band [8, 12] (target 10, epsilon 2) the signal enters from
+// above, leaves above, returns exactly on the upper edge, leaves below and
+// re-enters from below. Two sample times repeat: 0.021, where it enters the
+// band between two samples at one instant, and 0.090.
+TimeSeries band_series() {
+  return series_of({{0.000, 20.0}, {0.013, 15.0}, {0.021, 13.5},
+                    {0.021, 9.5}, {0.040, 13.0}, {0.047, 12.0},
+                    {0.060, 7.0}, {0.0605, 7.5}, {0.071, 8.5},
+                    {0.090, 10.0}, {0.090, 10.5}, {0.110, 11.9},
+                    {0.127, 9.0}});
+}
+
+obs::SettlingResult settle(const TimeSeries& ts, double min_dwell, double t0,
+                           double t1) {
+  obs::SettlingParams p;
+  p.target = 10.0;
+  p.epsilon = 2.0;
+  p.min_dwell = min_dwell;
+  return obs::settling_time(ts, p, t0, t1);
+}
+
+TEST(AnalyzerPins, SettlingTime) {
+  const TimeSeries ts = band_series();
+  // Last outside sample (0.0605, 7.5); entry interpolated on the lower edge.
+  const auto tail = settle(ts, 0.0, 0.005, 0.12);
+  EXPECT_TRUE(tail.settled);
+  EXPECT_EQ(tail.settle_t, 0.065750000000000003);
+  // The same entry with too short a dwell behind it.
+  const auto short_dwell = settle(ts, 0.05, 0.005, 0.12);
+  EXPECT_FALSE(short_dwell.settled);
+  EXPECT_EQ(short_dwell.settle_t, 0.0);
+  // Leaves above at 0.040 and lands exactly on the upper edge at 0.047.
+  const auto edge = settle(ts, 0.0, 0.03, 0.05);
+  EXPECT_TRUE(edge.settled);
+  EXPECT_EQ(edge.settle_t, 0.047);
+  // Enters between the two samples at t = 0.021.
+  const auto same_instant = settle(ts, 0.0, 0.015, 0.03);
+  EXPECT_TRUE(same_instant.settled);
+  EXPECT_EQ(same_instant.settle_t, 0.021000000000000001);
+  // Inside throughout: settled from the window's first sample.
+  const auto inside = settle(ts, 0.0, 0.085, 0.115);
+  EXPECT_TRUE(inside.settled);
+  EXPECT_EQ(inside.settle_t, 0.089999999999999997);
+  // Ends outside the band.
+  const auto outside = settle(ts, 0.0, 0.0, 0.065);
+  EXPECT_FALSE(outside.settled);
+  EXPECT_EQ(outside.settle_t, 0.0);
+  // The whole series, with a dwell it just meets.
+  const auto whole = settle(ts, 0.06, -1.0, 1.0);
+  EXPECT_TRUE(whole.settled);
+  EXPECT_EQ(whole.settle_t, 0.065750000000000003);
+}
+
+TEST(AnalyzerPins, Overshoot) {
+  const TimeSeries ts = band_series();
+  // Above 12 on both sides of the repeated time 0.021, exactly on 12 at
+  // 0.047, and a zero-length segment at 0.090.
+  const auto mid = obs::overshoot(ts, 12.0, 0.005, 0.12);
+  EXPECT_EQ(mid.max_excursion, 3.0);
+  EXPECT_EQ(mid.time_above_fraction, 0.21060382916053016);
+  const auto whole = obs::overshoot(ts, 10.7, -1.0, 1.0);
+  EXPECT_EQ(whole.max_excursion, 9.3000000000000007);
+  EXPECT_EQ(whole.time_above_fraction, 0.53577208021411127);
+  // One sample: the fraction is whether it lies above the target.
+  const auto single = obs::overshoot(ts, 12.0, 0.04, 0.045);
+  EXPECT_EQ(single.max_excursion, 1.0);
+  EXPECT_EQ(single.time_above_fraction, 1.0);
+  // Two samples at one instant: no span, so the last value decides.
+  const auto instant = obs::overshoot(ts, 10.2, 0.09, 0.1);
+  EXPECT_EQ(instant.max_excursion, 0.30000000000000071);
+  EXPECT_EQ(instant.time_above_fraction, 1.0);
+  // No sample in the window.
+  const auto empty = obs::overshoot(ts, 12.0, 0.0905, 0.0906);
+  EXPECT_EQ(empty.max_excursion, 0.0);
+  EXPECT_EQ(empty.time_above_fraction, 0.0);
+}
+
+// Swings about 10 with uneven spacing, a repeated sample time at 0.007, a
+// flat stretch exactly on 10 from 0.013 to 0.019, and a dip to 9.7 at 0.024
+// that a hysteresis of 0.5 swallows.
+TimeSeries swing_series() {
+  return series_of({{0.000, 10.0}, {0.002, 12.0}, {0.005, 11.0},
+                    {0.007, 8.0}, {0.007, 7.5}, {0.011, 9.0},
+                    {0.013, 10.0}, {0.016, 10.0}, {0.019, 10.0},
+                    {0.022, 13.1}, {0.024, 9.7}, {0.027, 11.0},
+                    {0.031, 6.2}, {0.034, 12.5}, {0.036, 12.5},
+                    {0.041, 8.2}, {0.045, 10.4}});
+}
+
+TEST(AnalyzerPins, Oscillation) {
+  const TimeSeries ts = swing_series();
+  const auto mean_ref = obs::oscillation(ts, 0.001, 0.043);
+  EXPECT_EQ(mean_ref.peak_to_peak, 6.8999999999999995);
+  EXPECT_EQ(mean_ref.period, 0.011066534154906249);
+  EXPECT_EQ(mean_ref.crossings, 7);
+  const auto mean_ref_hyst =
+      obs::oscillation(ts, 0.001, 0.043, std::nullopt, 0.5);
+  EXPECT_EQ(mean_ref_hyst.peak_to_peak, 6.8999999999999995);
+  EXPECT_EQ(mean_ref_hyst.period, 0.016599801232359372);
+  EXPECT_EQ(mean_ref_hyst.crossings, 5);
+  const auto on_flat = obs::oscillation(ts, 0.001, 0.043, 10.0, 0.0);
+  EXPECT_EQ(on_flat.peak_to_peak, 6.8999999999999995);
+  EXPECT_EQ(on_flat.period, 0.011080103359173128);
+  EXPECT_EQ(on_flat.crossings, 7);
+  const auto swallowed = obs::oscillation(ts, 0.001, 0.043, 10.0, 0.5);
+  EXPECT_EQ(swallowed.peak_to_peak, 6.8999999999999995);
+  EXPECT_EQ(swallowed.period, 0.016620155038759691);
+  EXPECT_EQ(swallowed.crossings, 5);
+  const auto whole = obs::oscillation(ts, -1.0, 1.0);
+  EXPECT_EQ(whole.peak_to_peak, 6.8999999999999995);
+  EXPECT_EQ(whole.period, 0.011079090909090908);
+  EXPECT_EQ(whole.crossings, 9);
+  // Three samples at one instant: the default reference falls back to the
+  // last of them, 9.5, which 11 crosses.
+  const TimeSeries burst = series_of({{0.5, 9.0}, {0.5, 11.0}, {0.5, 9.5}});
+  const auto at_once = obs::oscillation(burst, 0.0, 1.0);
+  EXPECT_EQ(at_once.peak_to_peak, 2.0);
+  EXPECT_EQ(at_once.period, 0.0);
+  EXPECT_EQ(at_once.crossings, 1);
+}
+
+// Three flows sampled at different times. Between 0.0148 and 0.023 flow 1
+// is idle, so the window [0.015, 0.022) holds no traffic from it; flow 2
+// starts after t0 and ends before t1, so both ends clamp.
+struct JainFlows {
+  TimeSeries f0 = series_of({{0.0, 4.0}, {0.0037, 6.5}, {0.0081, 5.0},
+                             {0.0122, 9.0}, {0.019, 3.0}, {0.025, 7.25},
+                             {0.031, 2.0}, {0.038, 8.0}, {0.045, 5.5}});
+  TimeSeries f1 = series_of({{0.0005, 1.0}, {0.006, 3.0}, {0.011, 2.0},
+                             {0.0148, 0.0}, {0.023, 0.0}, {0.027, 4.0},
+                             {0.027, 4.5}, {0.034, 6.0}, {0.041, 1.5}});
+  TimeSeries f2 = series_of({{0.002, 5.0}, {0.009, 5.0}, {0.0175, 2.5},
+                             {0.026, 6.0}, {0.033, 4.0}, {0.0395, 4.0}});
+};
+
+std::optional<double> worst_window(const std::vector<const TimeSeries*>& flows,
+                                   double window, double dt, double t0,
+                                   double t1) {
+  return obs::windowed_jain(flows, window, dt, t0, t1).min;
+}
+
+TEST(AnalyzerPins, WindowedJain) {
+  const JainFlows j;
+  const std::vector<const TimeSeries*> three = {&j.f0, &j.f1, &j.f2};
+  // 0.007 s windows over 0.0395 s: five whole windows and a partial one;
+  // the 0.3 ms step does not divide the window.
+  EXPECT_EQ(worst_window(three, 0.007, 3e-4, 0.001, 0.0405).value(),
+            0.64985773956270576);
+  // A step longer than the window crosses several boundaries at once.
+  EXPECT_EQ(worst_window(three, 0.002, 5.1e-3, 0.001, 0.0405).value(),
+            0.63378792090182712);
+  // Flow 1 alone in the window where it is idle: no window has traffic.
+  EXPECT_FALSE(
+      worst_window({&j.f1}, 0.002, 2.5e-4, 0.016, 0.022).has_value());
 }
 
 }  // namespace
