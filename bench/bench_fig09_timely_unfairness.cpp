@@ -6,6 +6,7 @@
 // Packet-level simulation with per-packet pacing, as in the paper.
 
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "bench_common.hpp"
@@ -73,11 +74,11 @@ int main() {
 
     // Fairness over the settled tail, windowed: the worst 10 ms window shows
     // whether the split is persistent or merely transient.
-    const auto fairness = obs::windowed_jain(
+    const std::optional<double> worst_jain = obs::windowed_jain(
         {&result.rate_gbps[0], &result.rate_gbps[1]}, 0.01, 1e-4, 0.2, 0.3);
     const std::string suffix = std::string(".case_") + c.key;
     manifest.observable("jain_tail" + suffix, jain)
-        .observable("jain_windowed_min" + suffix, fairness.min)
+        .observable("jain_windowed_min" + suffix, worst_jain)
         .observable("rate0_gbps" + suffix, r0)
         .observable("rate1_gbps" + suffix, r1)
         .observable("sum_rate_gbps" + suffix, r0 + r1);

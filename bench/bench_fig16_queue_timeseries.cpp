@@ -67,9 +67,7 @@ int main() {
 
     // Time-weighted excursion above the RED Kmax band (the sample-count
     // percentage in the table ignores spacing; this one integrates).
-    const auto over = q.empty()
-                          ? obs::OvershootResult{}
-                          : obs::overshoot(q, kmax_bytes, 0.0, 1e9);
+    const auto over = obs::overshoot(q, kmax_bytes, 0.0, 1e9);
     const std::string suffix = std::string(".") + exp::protocol_key(protocol);
     manifest.observable("queue_mean_kb" + suffix, mean_kb)
         .observable("queue_std_kb" + suffix, std_kb)

@@ -1,7 +1,6 @@
 #include "core/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/diagnostic.hpp"
 
@@ -53,25 +52,6 @@ std::vector<CdfPoint> empirical_cdf(std::vector<double> values, std::size_t max_
     cdf.push_back({values[rank], static_cast<double>(rank + 1) / static_cast<double>(n)});
   }
   return cdf;
-}
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  sum2_ += x * x;
-}
-
-double RunningStats::stddev() const {
-  if (n_ == 0) return 0.0;
-  const double m = mean();
-  const double var = std::max(0.0, sum2_ / static_cast<double>(n_) - m * m);
-  return std::sqrt(var);
 }
 
 }  // namespace ecnd

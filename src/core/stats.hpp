@@ -1,6 +1,6 @@
 #pragma once
-// Statistics helpers used by the experiment harnesses: percentiles, CDFs,
-// Jain's fairness index and streaming summaries.
+// Statistics helpers used by the experiment harnesses: percentiles, CDFs
+// and Jain's fairness index.
 
 #include <cstddef>
 #include <optional>
@@ -40,23 +40,5 @@ struct CdfPoint {
 /// extremes). Useful for printing Figure-15-style curves.
 std::vector<CdfPoint> empirical_cdf(std::vector<double> values,
                                     std::size_t max_points = 64);
-
-/// Streaming count/mean/min/max/stddev accumulator.
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double sum_ = 0.0;
-  double sum2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 }  // namespace ecnd

@@ -34,48 +34,44 @@ double TimeSeries::value_at(double t) const {
   return lo.value + w * (hi.value - lo.value);
 }
 
-namespace {
-
-template <typename Fn>
-void for_window(const std::vector<Sample>& samples, double t0, double t1, Fn&& fn) {
-  for (const Sample& s : samples) {
-    if (s.t < t0) continue;
-    if (s.t > t1) break;
-    fn(s);
-  }
+std::span<const Sample> TimeSeries::window(double t0, double t1) const {
+  // Written so a NaN bound compares false and keeps every sample on its side.
+  const auto first = std::partition_point(
+      samples_.begin(), samples_.end(),
+      [t0](const Sample& s) { return s.t < t0; });
+  const auto last = std::partition_point(
+      first, samples_.end(), [t1](const Sample& s) { return !(s.t > t1); });
+  return {first, last};
 }
-
-}  // namespace
 
 std::optional<double> TimeSeries::min_over(double t0, double t1) const {
   std::optional<double> m;
-  for_window(samples_, t0, t1, [&](const Sample& s) {
+  for (const Sample& s : window(t0, t1)) {
     m = m ? std::min(*m, s.value) : s.value;
-  });
+  }
   return m;
 }
 
 std::optional<double> TimeSeries::max_over(double t0, double t1) const {
   std::optional<double> m;
-  for_window(samples_, t0, t1, [&](const Sample& s) {
+  for (const Sample& s : window(t0, t1)) {
     m = m ? std::max(*m, s.value) : s.value;
-  });
+  }
   return m;
 }
 
 double TimeSeries::mean_over(double t0, double t1) const {
   // Trapezoidal time-weighted mean; falls back to plain mean for <2 samples.
-  std::vector<Sample> window;
-  for_window(samples_, t0, t1, [&](const Sample& s) { window.push_back(s); });
-  if (window.empty()) return 0.0;
-  if (window.size() == 1) return window.front().value;
+  const std::span<const Sample> w = window(t0, t1);
+  if (w.empty()) return 0.0;
+  if (w.size() == 1) return w.front().value;
   double area = 0.0;
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    const double dt = window[i].t - window[i - 1].t;
-    area += 0.5 * (window[i].value + window[i - 1].value) * dt;
+  for (std::size_t i = 1; i < w.size(); ++i) {
+    const double dt = w[i].t - w[i - 1].t;
+    area += 0.5 * (w[i].value + w[i - 1].value) * dt;
   }
-  const double span = window.back().t - window.front().t;
-  if (span <= 0.0) return window.front().value;
+  const double span = w.back().t - w.front().t;
+  if (span <= 0.0) return w.front().value;
   return area / span;
 }
 
@@ -84,33 +80,28 @@ double TimeSeries::stddev_over(double t0, double t1) const {
   // mean_over's weighting: a dense burst of samples contributes by the time
   // it covers, not by its sample count. Degenerate spans (<2 samples, or all
   // samples at one instant) fall back to the plain sample deviation.
-  std::vector<Sample> window;
-  for_window(samples_, t0, t1, [&](const Sample& s) { window.push_back(s); });
-  if (window.size() < 2) return 0.0;
-  const double span = window.back().t - window.front().t;
+  const std::span<const Sample> w = window(t0, t1);
+  if (w.size() < 2) return 0.0;
+  const double span = w.back().t - w.front().t;
   if (span <= 0.0) {
     double sum = 0.0, sum2 = 0.0;
-    for (const Sample& s : window) {
+    for (const Sample& s : w) {
       sum += s.value;
       sum2 += s.value * s.value;
     }
-    const double n = static_cast<double>(window.size());
+    const double n = static_cast<double>(w.size());
     const double mean = sum / n;
     return std::sqrt(std::max(0.0, sum2 / n - mean * mean));
   }
   const double mean = mean_over(t0, t1);
   double area = 0.0;
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    const double dt = window[i].t - window[i - 1].t;
-    const double d0 = window[i - 1].value - mean;
-    const double d1 = window[i].value - mean;
+  for (std::size_t i = 1; i < w.size(); ++i) {
+    const double dt = w[i].t - w[i - 1].t;
+    const double d0 = w[i - 1].value - mean;
+    const double d1 = w[i].value - mean;
     area += 0.5 * (d0 * d0 + d1 * d1) * dt;
   }
   return std::sqrt(std::max(0.0, area / span));
-}
-
-TimeSeries TimeSeries::resampled(std::size_t n) const {
-  return resampled(n, first_time(), last_time());
 }
 
 TimeSeries TimeSeries::resampled(std::size_t n, double t0, double t1) const {
@@ -135,15 +126,6 @@ TimeSeries TimeSeries::resampled(std::size_t n, double t0, double t1) const {
     out.push(t, value_at(t));
   }
   return out;
-}
-
-void TimeSeries::decimate(std::size_t k) {
-  if (k <= 1 || samples_.size() <= 2) return;
-  std::vector<Sample> kept;
-  kept.reserve(samples_.size() / k + 2);
-  for (std::size_t i = 0; i < samples_.size(); i += k) kept.push_back(samples_[i]);
-  if (kept.back().t != samples_.back().t) kept.push_back(samples_.back());
-  samples_ = std::move(kept);
 }
 
 }  // namespace ecnd

@@ -4,6 +4,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,11 @@ class TimeSeries {
   /// Linear interpolation at time t (clamped to the series' span).
   double value_at(double t) const;
 
+  /// The samples with t in [t0, t1]; empty when t1 < t0. Every windowed
+  /// statistic, here and in obs/analyzers.hpp, reads through this view. A
+  /// NaN bound does not restrict its side.
+  std::span<const Sample> window(double t0, double t1) const;
+
   /// Extremes over samples with t in [t0, t1]. An empty window is not a
   /// measurement: it yields nullopt, never a fake 0.0 (use
   /// require_stat() from core/stats.hpp where a value is mandatory).
@@ -53,8 +59,6 @@ class TimeSeries {
   /// single-sample window -> 0.
   double stddev_over(double t0, double t1) const;
 
-  /// Evenly resampled copy with n points across the full span.
-  TimeSeries resampled(std::size_t n) const;
   /// Evenly resampled copy with n points across [t0, t1] (clamped to the
   /// series' span), so a rendering matches windowed statistics. Degenerate
   /// requests stay well-defined: n == 0 (or an empty series) yields an empty
@@ -62,9 +66,6 @@ class TimeSeries {
   /// yields exactly one sample; a window entirely outside the span clamps to
   /// the nearest endpoint.
   TimeSeries resampled(std::size_t n, double t0, double t1) const;
-
-  /// Keep at most every k-th sample (decimation for long traces). k >= 1.
-  void decimate(std::size_t k);
 
  private:
   std::string name_;

@@ -1,9 +1,7 @@
 // Derived-observable analyzers (obs/analyzers.hpp) on synthetic signals with
 // closed-form answers: a pure sine has a known amplitude and period, a step
 // with exponential decay has a known settling time and overshoot, and a
-// two-flow rate ramp has a Jain index computable by hand per window. Each
-// suite also checks that the online (streaming) and offline (replayed
-// TimeSeries) faces of an analyzer agree, which they must by construction.
+// two-flow rate ramp has a Jain index computable by hand per window.
 
 #include "obs/analyzers.hpp"
 
@@ -11,7 +9,10 @@
 
 #include <cmath>
 #include <initializer_list>
+#include <limits>
 #include <optional>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/timeseries.hpp"
@@ -21,7 +22,7 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-// --- OscillationProbe: pure sine --------------------------------------------
+// --- oscillation: pure sine ------------------------------------------------
 
 TimeSeries sine_series(double amplitude, double period, double offset,
                        double duration, double dt) {
@@ -41,12 +42,9 @@ TEST(OscillationProbe, SineAmplitudeAndPeriod) {
   const TimeSeries ts = sine_series(amplitude, period, offset, 0.1, 1e-4);
 
   const auto osc = obs::oscillation(ts, 0.0, 0.1);
-  // Five full cycles: peak-to-peak 2A, dominant period T, mean = offset.
+  // Five full cycles: peak-to-peak 2A, dominant period T.
   EXPECT_NEAR(osc.peak_to_peak, 2.0 * amplitude, 0.01 * amplitude);
   EXPECT_NEAR(osc.period, period, 0.02 * period);
-  EXPECT_NEAR(osc.mean, offset, 0.05);
-  EXPECT_NEAR(osc.min, offset - amplitude, 0.01 * amplitude);
-  EXPECT_NEAR(osc.max, offset + amplitude, 0.01 * amplitude);
   // 10 zero crossings of the reference in 5 cycles.
   EXPECT_EQ(osc.crossings, 10);
 }
@@ -84,21 +82,6 @@ TEST(OscillationProbe, HysteresisRejectsRipple) {
   EXPECT_NEAR(filtered.peak_to_peak, 40.0, 1.5);
 }
 
-TEST(OscillationProbe, OnlineMatchesOffline) {
-  const TimeSeries ts = sine_series(2.0, 0.015, 7.0, 0.09, 1e-4);
-  obs::OscillationParams p;
-  p.reference = 7.0;
-  obs::OscillationProbe probe(p);
-  for (const auto& s : ts.samples()) probe.push(s.t, s.value);
-  const auto online = probe.result();
-  // The offline window extends past the last sample so the replay sees every
-  // sample the online probe saw.
-  const auto offline = obs::oscillation(ts, 0.0, 1.0, 7.0);
-  EXPECT_NEAR(online.peak_to_peak, offline.peak_to_peak, 1e-12);
-  EXPECT_NEAR(online.period, offline.period, 1e-12);
-  EXPECT_EQ(online.crossings, offline.crossings);
-}
-
 TEST(OscillationProbe, ConstantSignalHasNoOscillation) {
   TimeSeries ts("flat");
   for (int i = 0; i < 100; ++i) ts.push(i * 1e-3, 42.0);
@@ -108,7 +91,7 @@ TEST(OscillationProbe, ConstantSignalHasNoOscillation) {
   EXPECT_EQ(osc.peak_to_peak, 0.0);
 }
 
-// --- SettlingTime: step + exponential decay ---------------------------------
+// --- settling_time: step + exponential decay --------------------------------
 
 TimeSeries decay_series(double start, double target, double tau,
                         double duration, double dt) {
@@ -131,8 +114,6 @@ TEST(SettlingTime, ExponentialDecayClosedForm) {
   const auto r = obs::settling_time(ts, p, 0.0, 0.1);
   ASSERT_TRUE(r.settled);
   EXPECT_NEAR(r.settle_t, tau * std::log(100.0 / eps), 1e-4);
-  EXPECT_NEAR(r.final_value, 0.0, eps);
-  EXPECT_GT(r.dwell, 0.05);
 }
 
 TEST(SettlingTime, MinDwellRejectsLateEntry) {
@@ -174,27 +155,12 @@ TEST(SettlingTime, NeverInBand) {
   EXPECT_FALSE(r.settled);
 }
 
-TEST(SettlingTime, OnlineMatchesOffline) {
-  const TimeSeries ts = decay_series(50.0, 10.0, 0.02, 0.2, 1e-4);
-  obs::SettlingParams p;
-  p.target = 10.0;
-  p.epsilon = 2.0;
-  p.min_dwell = 0.01;
-  obs::SettlingTime probe(p);
-  for (const auto& s : ts.samples()) probe.push(s.t, s.value);
-  const auto online = probe.result();
-  const auto offline = obs::settling_time(ts, p, 0.0, 1.0);
-  EXPECT_EQ(online.settled, offline.settled);
-  EXPECT_NEAR(online.settle_t, offline.settle_t, 1e-12);
-  EXPECT_NEAR(online.dwell, offline.dwell, 1e-12);
-}
-
-// --- Overshoot: step response -----------------------------------------------
+// --- overshoot: step response -----------------------------------------------
 
 TEST(Overshoot, PeakAndTimeAboveClosedForm) {
   // Triangle: rises 0 -> 20 over [0, 0.1], falls back to 0 over [0.1, 0.2].
-  // Against target 10: peak excursion 10 at t=0.1, above target for half the
-  // span (crossings at t=0.05 and t=0.15).
+  // Against target 10: peak excursion 10 (at t=0.1), above target for half
+  // the span (crossings at t=0.05 and t=0.15).
   TimeSeries ts("triangle");
   for (int i = 0; i <= 200; ++i) {
     const double t = i * 1e-3;
@@ -202,8 +168,6 @@ TEST(Overshoot, PeakAndTimeAboveClosedForm) {
   }
   const auto r = obs::overshoot(ts, 10.0, 0.0, 0.3);
   EXPECT_NEAR(r.max_excursion, 10.0, 1e-9);
-  EXPECT_NEAR(r.peak_t, 0.1, 1e-9);
-  EXPECT_NEAR(r.peak_value, 20.0, 1e-9);
   EXPECT_NEAR(r.time_above_fraction, 0.5, 1e-9);
 }
 
@@ -214,88 +178,103 @@ TEST(Overshoot, NeverAboveTarget) {
   EXPECT_EQ(r.time_above_fraction, 0.0);
 }
 
-TEST(Overshoot, OnlineMatchesOffline) {
-  const TimeSeries ts = sine_series(4.0, 0.02, 10.0, 0.1, 1e-4);
-  obs::Overshoot probe(12.0);
-  for (const auto& s : ts.samples()) probe.push(s.t, s.value);
-  const auto online = probe.result();
-  const auto offline = obs::overshoot(ts, 12.0, 0.0, 1.0);
-  EXPECT_NEAR(online.max_excursion, offline.max_excursion, 1e-12);
-  EXPECT_NEAR(online.time_above_fraction, offline.time_above_fraction, 1e-12);
-}
+// --- windowed_jain: two-flow ramp -------------------------------------------
 
-// --- WindowedFairness: two-flow ramp ----------------------------------------
-
-TEST(JainIndex, Snapshots) {
-  const double equal[] = {5.0, 5.0, 5.0};
-  EXPECT_NEAR(obs::jain_index(equal, 3).value(), 1.0, 1e-12);
-  const double solo[] = {10.0, 0.0};
-  EXPECT_NEAR(obs::jain_index(solo, 2).value(), 0.5, 1e-12);
-  const double zeros[] = {0.0, 0.0};
-  EXPECT_FALSE(obs::jain_index(zeros, 2).has_value());
-  EXPECT_FALSE(obs::jain_index(nullptr, 0).has_value());
-}
+// Two flows ramping in opposite directions across [0, 1].
+struct Ramps {
+  TimeSeries up{"up"}, down{"down"};
+  explicit Ramps(double step) {
+    const int n = static_cast<int>(std::lround(1.0 / step));
+    for (int i = 0; i <= n; ++i) {
+      const double t = i * step;
+      up.push(t, 10.0 * t);
+      down.push(t, 10.0 * (1.0 - t));
+    }
+  }
+};
 
 TEST(WindowedFairness, TwoFlowRampClosedForm) {
   // flow0 ramps 0 -> 10 over [0,1]; flow1 ramps 10 -> 0. In window
   // [0, 0.25] the time-weighted means are 1.25 and 8.75: Jain =
-  // (10)^2 / (2 * (1.25^2 + 8.75^2)) = 100 / 156.25 = 0.64. The middle
-  // windows are more fair; [0.375, 0.625] straddles the crossing (means 5, 5)
-  // and is perfectly fair.
-  obs::WindowedFairness probe(2, 0.25);
-  for (int i = 0; i <= 1000; ++i) {
-    const double t = i * 1e-3;
-    const double rates[] = {10.0 * t, 10.0 * (1.0 - t)};
-    probe.push(t, rates, 2);
-  }
-  const auto r = probe.finish();
-  ASSERT_EQ(r.windows.size(), 4u);
-  EXPECT_NEAR(r.windows[0].t, 0.25, 1e-9);
-  EXPECT_NEAR(r.windows[0].value, 0.64, 1e-3);
-  EXPECT_NEAR(r.windows[3].value, 0.64, 1e-3);
-  // Symmetric ramps: windows 1 and 2 agree, and are the fairest.
-  EXPECT_NEAR(r.windows[1].value, r.windows[2].value, 1e-9);
-  EXPECT_GT(r.windows[1].value, 0.9);
-  ASSERT_TRUE(r.min.has_value());
-  EXPECT_NEAR(*r.min, 0.64, 1e-3);
-  ASSERT_TRUE(r.last.has_value());
+  // (10)^2 / (2 * (1.25^2 + 8.75^2)) = 100 / 156.25 = 0.64, and so for the
+  // mirrored last window. The middle windows are fairer: means 3.75 and
+  // 6.25 give 100 / 106.25 = 16/17.
+  const Ramps r(1e-3);
+  const auto worst =
+      obs::windowed_jain({&r.up, &r.down}, 0.25, 1e-3, 0.0, 1.0);
+  ASSERT_TRUE(worst.has_value());
+  EXPECT_NEAR(*worst, 0.64, 1e-3);
+  const auto middle =
+      obs::windowed_jain({&r.up, &r.down}, 0.25, 1e-3, 0.25, 0.75);
+  ASSERT_TRUE(middle.has_value());
+  EXPECT_NEAR(*middle, 16.0 / 17.0, 1e-3);
 }
 
 TEST(WindowedFairness, OfflineWindowedJainMatchesOnline) {
-  TimeSeries f0("f0"), f1("f1");
-  for (int i = 0; i <= 1000; ++i) {
-    const double t = i * 1e-3;
-    f0.push(t, 10.0 * t);
-    f1.push(t, 10.0 * (1.0 - t));
-  }
-  const auto offline = obs::windowed_jain({&f0, &f1}, 0.25, 1e-3, 0.0, 1.0);
-  ASSERT_GE(offline.windows.size(), 4u);
-  EXPECT_NEAR(offline.windows[0].value, 0.64, 1e-3);
-  ASSERT_TRUE(offline.min.has_value());
-  EXPECT_NEAR(*offline.min, 0.64, 1e-3);
+  // The ramps are linear, so flows sampled every 0.125 s interpolate to the
+  // same uniform grid as flows sampled every 1 ms.
+  const Ramps coarse(0.125), fine(1e-3);
+  const auto a =
+      obs::windowed_jain({&coarse.up, &coarse.down}, 0.25, 1e-3, 0.0, 1.0);
+  const auto b =
+      obs::windowed_jain({&fine.up, &fine.down}, 0.25, 1e-3, 0.0, 1.0);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(b.has_value());
+  EXPECT_NEAR(*a, *b, 1e-12);
+  EXPECT_NEAR(*a, 0.64, 1e-3);
 }
 
 TEST(WindowedFairness, AllZeroWindowContributesNoIndex) {
-  obs::WindowedFairness probe(2, 0.1);
-  for (int i = 0; i <= 100; ++i) {
-    const double rates[] = {0.0, 0.0};
-    probe.push(i * 1e-3, rates, 2);
-  }
-  const auto r = probe.finish();
-  EXPECT_TRUE(r.windows.empty());
-  EXPECT_FALSE(r.min.has_value());
+  // Both flows idle: no window has a fairness index.
+  TimeSeries idle("idle");
+  idle.push(0.0, 0.0);
+  idle.push(0.1, 0.0);
+  EXPECT_FALSE(
+      obs::windowed_jain({&idle, &idle}, 0.1, 1e-3, 0.0, 0.1).has_value());
+  // An idle first window is skipped, not scored 0: the equal rates after it
+  // are perfectly fair.
+  TimeSeries late("late");
+  late.push(0.0, 0.0);
+  late.push(0.1, 0.0);
+  late.push(0.1, 5.0);
+  late.push(0.2, 5.0);
+  const auto worst =
+      obs::windowed_jain({&late, &late}, 0.1, 1e-3, 0.0, 0.2);
+  ASSERT_TRUE(worst.has_value());
+  EXPECT_NEAR(*worst, 1.0, 1e-12);
 }
 
 TEST(WindowedFairness, PartialTrailingWindowFlushedByFinish) {
-  obs::WindowedFairness probe(2, 1.0);  // window longer than the data
-  const double rates[] = {4.0, 6.0};
-  probe.push(0.0, rates, 2);
-  probe.push(0.5, rates, 2);
-  EXPECT_TRUE(probe.windows().empty());  // nothing completed yet
-  const auto r = probe.finish();
-  ASSERT_EQ(r.windows.size(), 1u);
+  // A window longer than the data: the one partial window still counts.
+  TimeSeries f0("f0"), f1("f1");
+  for (const double t : {0.0, 0.5}) {
+    f0.push(t, 4.0);
+    f1.push(t, 6.0);
+  }
+  const auto worst = obs::windowed_jain({&f0, &f1}, 1.0, 0.1, 0.0, 0.5);
+  ASSERT_TRUE(worst.has_value());
   // Jain(4, 6) = 100 / (2 * 52) = 0.9615...
-  EXPECT_NEAR(r.windows[0].value, 100.0 / 104.0, 1e-9);
+  EXPECT_NEAR(*worst, 100.0 / 104.0, 1e-9);
+}
+
+TEST(WindowedFairness, RejectsReversedOrNonFiniteBounds) {
+  // A reversed or non-finite span would reach the step count's conversion
+  // to size_t, which is undefined for a negative or NaN value.
+  TimeSeries f("f");
+  f.push(0.0, 1.0);
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [t0, t1] : {std::pair{0.3, 0.2}, std::pair{nan, 0.3},
+                               std::pair{0.2, nan}, std::pair{0.2, inf},
+                               std::pair{-inf, 0.3}}) {
+    EXPECT_THROW(obs::windowed_jain({&f}, 0.01, 1e-4, t0, t1),
+                 std::invalid_argument)
+        << t0 << ", " << t1;
+  }
+  EXPECT_THROW(obs::windowed_jain({&f}, 0.01, 0.0, 0.2, 0.3),
+               std::invalid_argument);
+  EXPECT_THROW(obs::windowed_jain({&f}, 0.0, 1e-4, 0.2, 0.3),
+               std::invalid_argument);
 }
 
 // --- AnalyzerPins: exact values on fixed irregular series -------------------
@@ -449,7 +428,7 @@ struct JainFlows {
 std::optional<double> worst_window(const std::vector<const TimeSeries*>& flows,
                                    double window, double dt, double t0,
                                    double t1) {
-  return obs::windowed_jain(flows, window, dt, t0, t1).min;
+  return obs::windowed_jain(flows, window, dt, t0, t1);
 }
 
 TEST(AnalyzerPins, WindowedJain) {

@@ -86,26 +86,11 @@ TEST(TimeSeries, StddevOfEvenGridMatchesSampleStd) {
 
 TEST(TimeSeries, ResampleUniformGrid) {
   TimeSeries ts = ramp();
-  TimeSeries rs = ts.resampled(5);
+  TimeSeries rs = ts.resampled(5, ts.first_time(), ts.last_time());
   ASSERT_EQ(rs.size(), 5u);
   EXPECT_DOUBLE_EQ(rs[0].t, 0.0);
   EXPECT_DOUBLE_EQ(rs[4].t, 1.0);
   EXPECT_NEAR(rs[2].value, 5.0, 1e-9);
-}
-
-TEST(TimeSeries, DecimateKeepsEndpoints) {
-  TimeSeries ts = ramp();
-  ts.decimate(4);
-  EXPECT_LT(ts.size(), 11u);
-  EXPECT_DOUBLE_EQ(ts.samples().front().t, 0.0);
-  EXPECT_DOUBLE_EQ(ts.samples().back().t, 1.0);
-}
-
-TEST(TimeSeries, DecimateNoOpForSmallK) {
-  TimeSeries ts = ramp();
-  const std::size_t n = ts.size();
-  ts.decimate(1);
-  EXPECT_EQ(ts.size(), n);
 }
 
 TEST(TimeSeries, WindowOutsideDataHasNoExtremes) {
@@ -113,6 +98,23 @@ TEST(TimeSeries, WindowOutsideDataHasNoExtremes) {
   EXPECT_EQ(ts.mean_over(5.0, 6.0), 0.0);
   EXPECT_FALSE(ts.min_over(5.0, 6.0).has_value());
   EXPECT_FALSE(ts.max_over(5.0, 6.0).has_value());
+}
+
+TEST(TimeSeries, WindowIsInclusiveAndEmptyWhenReversed) {
+  TimeSeries ts;
+  for (const double t : {0.0, 1.0, 1.0, 2.0, 3.0}) ts.push(t, t);
+  // Both ends inclusive, including every sample at a repeated time.
+  const auto w = ts.window(1.0, 2.0);
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.front().t, 1.0);
+  EXPECT_EQ(w.back().t, 2.0);
+  EXPECT_EQ(ts.window(0.5, 2.5).size(), 3u);
+  EXPECT_TRUE(ts.window(1.5, 1.9).empty());
+  EXPECT_TRUE(ts.window(2.5, 0.5).empty());
+  // A NaN bound does not restrict its side.
+  const double nan = std::nan("");
+  EXPECT_EQ(ts.window(nan, 1.0).size(), 3u);
+  EXPECT_EQ(ts.window(1.0, nan).size(), 4u);
 }
 
 TEST(TimeSeries, WindowedResampleMatchesWindow) {
