@@ -145,9 +145,8 @@ struct JournaledSweep {
 /// cells. Quarantined cells keep their default-constructed Row and appear in
 /// the report (and in the journal as `quarantined`, which resume re-runs).
 ///
-///   run(grid_index, attempt) -> Row    compute one cell (attempt for
-///                                      deterministic degradation, e.g. dt
-///                                      halving)
+///   run(grid_index, attempt) -> Row    compute one cell (attempt counts
+///                                      the policy's tries from 0)
 ///   encode(const Row&) -> std::string  payload via FieldWriter
 ///   decode(FieldParser&) -> Row        inverse of encode
 template <typename Row, typename Run, typename Encode, typename Decode>

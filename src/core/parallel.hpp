@@ -75,10 +75,10 @@ SweepTiming parallel_for_each(std::size_t count,
                               std::size_t threads = 0);
 
 /// Retry policy for parallel_for_each_isolated. A task gets `max_attempts`
-/// tries; the attempt number is passed to the task so it can degrade
-/// deterministically in the problem domain (the fluid harnesses halve dt per
-/// attempt — backoff in step size, not wall clock, so a retried cell is still
-/// reproducible from (index, attempt) alone).
+/// tries. The attempt number is passed to the task, so a retry that changes
+/// what the task computes stays reproducible from (index, attempt) alone; a
+/// task that ignores it repeats the same deterministic work, which is why
+/// Figure 20's fluid sweep runs a single attempt.
 struct FaultPolicy {
   int max_attempts = 2;  ///< total tries per task; < 1 behaves as 1
 };
