@@ -14,8 +14,10 @@
 # Every file in it must be valid and byte-identical across thread counts
 # (bar the wall-time profile), the storm lossless, stdout the same armed or
 # idle, ecnd-diff clean on the identical pair and divergent (with a
-# first-divergence timestamp) on a fault_study seed pair, and a
-# -DECND_OBS=OFF build must create no directory and print the same stdout.
+# first-divergence timestamp) on a fault_study seed pair, and the
+# -DECND_OBS=OFF tree must build every target, pass its ctest, create no
+# directory and print the same stdout. The analyzers are header-only, so
+# each harness that includes them compiles their bodies in this tree too.
 #
 # --report runs the quick figure set plus quickstart with a run directory
 # per harness, requires stdout and run directories bit-identical at
@@ -170,9 +172,9 @@ EOF
     exit 1
   fi
 
-  echo "-- compiled out (-DECND_OBS=OFF): no directory, stdout identical"
-  cmake -B build-obs-off -S . -DECND_OBS=OFF > /dev/null
-  cmake --build build-obs-off -j "$(nproc)" --target bench_fig14_fct_vs_load bench_ext_fabric
+  echo "-- compiled out (-DECND_OBS=OFF): every target, ctest, no directory, stdout identical"
+  build_suite build-obs-off -DECND_OBS=OFF > /dev/null
+  run_tests build-obs-off 4
   mkdir "$tmp/off"
   for entry in "${runs[@]}"; do
     read -r name level bin <<< "$entry"
