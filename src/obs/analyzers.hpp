@@ -78,11 +78,12 @@ inline SettlingResult settling_time(const TimeSeries& series,
                                     SettlingParams params, double t0,
                                     double t1) {
   const std::span<const Sample> w = series.window(t0, t1);
+  const auto inside = [&params](const Sample& s) {
+    return std::abs(s.value - params.target) <= params.epsilon;
+  };
   // Scan back over the final in-band stretch w[k..].
   std::size_t k = w.size();
-  while (k > 0 && std::abs(w[k - 1].value - params.target) <= params.epsilon) {
-    --k;
-  }
+  while (k > 0 && inside(w[k - 1])) --k;
   SettlingResult r;
   if (k == w.size()) return r;
   double entry = w.front().t;
@@ -187,7 +188,9 @@ inline OscillationResult oscillation(
     ref = span > 0.0 ? area / span : w.back().value;
   }
   double lo = w.front().value, hi = w.front().value;
-  int side = 0;  // +1 above, -1 below, 0 until the signal first leaves the band
+  // +1 above the reference, -1 below, 0 until the signal first leaves the
+  // hysteresis band.
+  int side = 0;
   double first_cross = 0.0, last_cross = 0.0;
   for (std::size_t i = 0; i < w.size(); ++i) {
     const double v = w[i].value;
