@@ -19,10 +19,10 @@ namespace {
 // Fluid-engine metrics.
 // fluid.rhs_evals is 4x the attempted RK4 advances; fluid.lookup_clamped
 // counts delayed-state reads that fell off either end of the history window;
-// fluid.lookup_hint_hits counts interior reads served by the monotonic
-// cursor walk (close to 100% of interior reads for the forward-moving RK4
-// lookup pattern) and values_at() repeats; reads resolved by the computed
-// bracket or its binary search are not counted.
+// fluid.lookup_hint_hits counts interior reads served by their lane's cursor
+// walk (close to 100% of interior reads for the forward-moving RK4 lookup
+// pattern) and values_at() repeats; reads resolved by the computed bracket or
+// its binary search are not counted.
 const obs::Counter kRk4Steps = obs::counter("fluid.rk4_steps");
 const obs::Counter kRhsEvals = obs::counter("fluid.rhs_evals");
 const obs::Counter kStepRetries = obs::counter("fluid.step_retries");
@@ -144,7 +144,8 @@ void History::set_deep_retention(std::size_t var_begin, std::size_t var_count) {
   deep_.width = var_count;
 }
 
-double History::deep_value(std::size_t var, double t) const {
+double History::deep_value(std::size_t var, double t,
+                           std::size_t& deep_cursor) const {
   const std::size_t col = var - deep_begin_;
   const std::size_t last = deep_.end - 1;
   if (t > deep_.time(last)) {
@@ -155,7 +156,7 @@ double History::deep_value(std::size_t var, double t) const {
     return lerp(t, deep_.time(last), rows_.time(rows_.begin),
                 deep_.row(last)[col], rows_.row(rows_.begin)[var]);
   }
-  const std::size_t hi = locate(deep_, deep_cursor_, t);
+  const std::size_t hi = locate(deep_, deep_cursor, t);
   return lerp(t, deep_.time(hi - 1), deep_.time(hi), deep_.row(hi - 1)[col],
               deep_.row(hi)[col]);
 }
@@ -167,7 +168,7 @@ std::span<const double> History::deep_clamped_range(
     const std::size_t var = var_begin + v;
     if (deep_covers(var)) {
       batch_buf_[v] = t > deep_.time(deep_.begin)
-                          ? deep_value(var, t)
+                          ? deep_value(var, t, deep_cursor_)
                           : deep_.row(deep_.begin)[var - deep_begin_];
     } else {
       batch_buf_[v] = rows_.row(rows_.begin)[var];
@@ -177,6 +178,11 @@ std::span<const double> History::deep_clamped_range(
 }
 
 double History::value(std::size_t var, double t) const {
+  return value_lane(var, t, cursor_, deep_cursor_);
+}
+
+double History::value_lane(std::size_t var, double t, std::size_t& cursor,
+                           std::size_t& deep_cursor) const {
   assert(var < dim_);
   assert(!empty());
   obs::ProfScope lookup_scope("fluid.history");
@@ -185,7 +191,7 @@ double History::value(std::size_t var, double t) const {
   const std::size_t last = rows_.end - 1;
   if (!(t > rows_.time(first))) {  // a NaN time clamps here too
     if (deep_covers(var) && deep_.size() > 0) {
-      if (t > deep_.time(deep_.begin)) return deep_value(var, t);
+      if (t > deep_.time(deep_.begin)) return deep_value(var, t, deep_cursor);
       kLookupClamped.add();
       return deep_.row(deep_.begin)[var - deep_begin_];
     }
@@ -196,7 +202,7 @@ double History::value(std::size_t var, double t) const {
     kLookupClamped.add();
     return rows_.row(last)[var];
   }
-  const std::size_t hi = locate(rows_, cursor_, t);
+  const std::size_t hi = locate(rows_, cursor, t);
   return lerp(t, rows_.time(hi - 1), rows_.time(hi), rows_.row(hi - 1)[var],
               rows_.row(hi)[var]);
 }
@@ -250,7 +256,7 @@ void History::values_at(std::size_t var, std::span<const double> times,
       out[i] = prev_v;
       continue;
     }
-    prev_v = value(var, t);
+    prev_v = value_lane(var, t, at_cursor_, at_deep_cursor_);
     prev_t = t;
     have_prev = true;
     out[i] = prev_v;

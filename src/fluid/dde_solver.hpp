@@ -47,11 +47,17 @@ namespace ecnd::fluid {
 /// sub-steps, or a History filled without a solver).
 ///
 /// Lookups are amortized O(1): successive delayed reads within an RK4 step
-/// are non-decreasing in t per delay lane, so a monotonic cursor remembers
-/// the last interpolation bracket and walks forward from it. On a backward
-/// jump (e.g. TIMELY's per-flow tau* lanes, or feedback jitter) the bracket
-/// index is computed from the samples' even spacing and checked; a binary
-/// search runs only when that check fails.
+/// are non-decreasing in t per delay lane, so each lane keeps a monotonic
+/// cursor that remembers its last interpolation bracket and walks forward
+/// from it. There are two lanes: value() and values() serve the feedback
+/// delay (DCQCN's tau*, TIMELY's tau'), and values_at() serves the per-flow
+/// lookbacks a further tau*_i behind it (TIMELY's Equation 22), which would
+/// otherwise drag one shared cursor back and forth on every right-hand
+/// side. On a backward jump (feedback jitter, a flow whose tau* grew) the
+/// bracket index is computed from the samples' even spacing and checked; a
+/// binary search runs only when that check fails. A cursor is only a
+/// starting hint, so every lookup returns the same bracket whichever lane
+/// serves it.
 class History {
  public:
   explicit History(std::size_t dim) : dim_(dim), rows_(dim), deep_(0) {}
@@ -83,10 +89,10 @@ class History {
 
   /// One variable at many (arbitrary, possibly unsorted) times:
   /// out[i] = value(var, times[i]), bit-identical to per-query value()
-  /// calls. A query equal to its predecessor is served from the previous
-  /// result without a new search — the dominant case for per-flow delayed
-  /// lookups in symmetric many-flow runs, where every flow asks for the
-  /// same delayed instant.
+  /// calls but searched from this call's own lane cursors. A query equal to
+  /// its predecessor is served from the previous result without a new
+  /// search — the dominant case for per-flow delayed lookups in symmetric
+  /// many-flow runs, where every flow asks for the same delayed instant.
   void values_at(std::size_t var, std::span<const double> times,
                  std::span<double> out) const;
 
@@ -163,6 +169,9 @@ class History {
   /// hint when it is live and below t, else r.bracket(t). Precondition:
   /// r.time(r.begin) < t <= r.time(r.end - 1). Updates the cursor.
   static std::size_t locate(const Ring& r, std::size_t& cursor, double t);
+  /// value(var, t) searched from one lane's row-ring and deep-ring cursors.
+  double value_lane(std::size_t var, double t, std::size_t& cursor,
+                    std::size_t& deep_cursor) const;
   bool deep_covers(std::size_t var) const {
     return deep_.width > 0 && var >= deep_begin_ &&
            var - deep_begin_ < deep_.width;
@@ -170,8 +179,8 @@ class History {
   /// Interpolated deep-ring read. Preconditions: deep_covers(var), the deep
   /// ring is non-empty, and its first time < t <= the row ring's first
   /// time (queries past the deep ring's newest sample bridge across the
-  /// boundary sample pair).
-  double deep_value(std::size_t var, double t) const;
+  /// boundary sample pair). Searches from, and updates, `deep_cursor`.
+  double deep_value(std::size_t var, double t, std::size_t& deep_cursor) const;
   /// Batch-path fallback for t at/below the row ring's start when the
   /// requested range intersects the deep ring: per-variable reads into
   /// batch_buf_, each matching value() bit for bit.
@@ -180,7 +189,11 @@ class History {
 
   std::size_t dim_;
   Ring rows_;                               // full state rows
-  mutable std::size_t cursor_ = 0;          // last bracket (hi) in rows_
+  // Lookup lanes' cursors, the last bracket (hi) each found in rows_ and in
+  // deep_: value() and values() use cursor_ and deep_cursor_, values_at()
+  // uses at_cursor_ and at_deep_cursor_.
+  mutable std::size_t cursor_ = 0;
+  mutable std::size_t at_cursor_ = 0;
   mutable std::vector<double> batch_buf_;   // scratch row for values()
 
   // Deep-retention ring (set_deep_retention): samples of variables
@@ -190,6 +203,7 @@ class History {
   std::size_t deep_begin_ = 0;
   Ring deep_;
   mutable std::size_t deep_cursor_ = 0;
+  mutable std::size_t at_deep_cursor_ = 0;
 };
 
 /// Box bound on the contiguous state block [first, first + count). The
@@ -216,7 +230,9 @@ class DdeSystem {
   virtual std::size_t dim() const = 0;
 
   /// Compute dxdt at time t given current state x and access to past state.
-  /// x and dxdt never overlap.
+  /// x and dxdt never overlap. Implementations may keep mutable scratch
+  /// (lookup buffers, memos of delayed terms), so a system serves one solver
+  /// at a time and never two threads at once.
   virtual void rhs(double t, std::span<const double> x, const History& past,
                    std::span<double> dxdt) const = 0;
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
@@ -695,6 +696,22 @@ struct LookupCounts {
   std::uint64_t hint_hits = 0;
 };
 
+/// The lookup counters since the last obs::reset() (all zero when the
+/// observability layer is compiled out).
+LookupCounts armed_lookup_counts() {
+  LookupCounts counts;
+#if !defined(ECND_OBS_DISABLED)
+  const std::vector<obs::detail::MetricRow> rows = obs::detail::metric_rows();
+  const std::vector<std::uint64_t> values = obs::detail::task_scalars();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].name == "fluid.delayed_lookups") counts.delayed = values[i];
+    if (rows[i].name == "fluid.lookup_clamped") counts.clamped = values[i];
+    if (rows[i].name == "fluid.lookup_hint_hits") counts.hint_hits = values[i];
+  }
+#endif
+  return counts;
+}
+
 struct PinnedRun {
   std::uint64_t state_digest = 0;  // end state
   std::uint64_t probe_digest = 0;  // every probe() after every segment
@@ -723,15 +740,7 @@ PinnedRun run_pinned(const FluidModel& model, std::vector<double> x0,
   run.state_digest = digest(std::vector<double>(x.begin(), x.end()));
   run.probe_digest = digest(probes);
   run.steps_retried = solver.steps_retried();
-#if !defined(ECND_OBS_DISABLED)
-  const std::vector<obs::detail::MetricRow> rows = obs::detail::metric_rows();
-  const std::vector<std::uint64_t> values = obs::detail::task_scalars();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].name == "fluid.delayed_lookups") run.counts.delayed = values[i];
-    if (rows[i].name == "fluid.lookup_clamped") run.counts.clamped = values[i];
-    if (rows[i].name == "fluid.lookup_hint_hits") run.counts.hint_hits = values[i];
-  }
-#endif
+  run.counts = armed_lookup_counts();
   obs::reset();
   obs::set_metrics_enabled(was_enabled);
   return run;
@@ -771,7 +780,9 @@ TEST(HistoryPins, LongGuardedRunsMatchParent) {
     EXPECT_EQ(run.state_digest, 6939724140862234070u);
     EXPECT_EQ(run.probe_digest, 11850908906459855621u);
     EXPECT_EQ(run.steps_retried, 44u);
-    expect_counts(run.counts, {3567416, 11051, 1414911});
+    // Since each lookup lane keeps its own cursor, the tau* lane no longer
+    // drags the tau' lane's cursor back: only hint_hits moved.
+    expect_counts(run.counts, {3567416, 11051, 2385700});
   }
   {
     // DCQCN, 3 flows from inside the marking band: full rows only.
@@ -792,7 +803,64 @@ TEST(HistoryPins, LongGuardedRunsMatchParent) {
     EXPECT_EQ(run.state_digest, 17281477372355948524u);
     EXPECT_EQ(run.probe_digest, 12198627065235726822u);
     EXPECT_EQ(run.steps_retried, 43u);
-    expect_counts(run.counts, {192968, 202, 192448});
+    // probe()'s one values_at() batch starts on a cold lane cursor.
+    expect_counts(run.counts, {192968, 202, 192447});
+  }
+}
+
+TEST(History, EachLookupLaneKeepsItsCursor) {
+  // Patched TIMELY's Equation 22 reads the delayed queue at t - tau'
+  // (value()) and, per flow, a further tau* of about 70 samples back
+  // (values_at()), alternately and at the RK4 stage times t, t + dt/2,
+  // t + dt/2, t + dt. Each lane keeps its own cursor, so every read after
+  // each lane's first is a cursor walk; one shared cursor would jump 70
+  // samples back and forth and miss almost every time. The queue is
+  // deep-retained, as TIMELY's is, and both lanes read from the row ring in
+  // one pass and from the deep ring in the other.
+  const double dt = 1e-6;
+  const double tau_prime = 12.25 * dt;
+  const double tau_star = 70.5 * dt;
+  for (const double rows_back : {400.0, 1.0}) {
+    History h(3);
+    h.set_deep_retention(0, 1);
+    History ref(3);  // untrimmed and never read: copied cold for each check
+    const auto append = [&](int i) {
+      const double row[3] = {100.0 + 40.0 * std::sin(0.05 * i), 1.0 * i, -0.5 * i};
+      h.append(i * dt, row);
+      ref.append(i * dt, row);
+      h.trim_before((i - rows_back) * dt, (i - 400.0) * dt);
+    };
+    int k = 0;
+    for (; k <= 500; ++k) append(k);
+
+    const bool was_enabled = obs::metrics_enabled();
+    obs::set_metrics_enabled(true);
+    obs::reset();
+    std::vector<std::pair<double, double>> reads;  // (t, value read)
+    for (int step = 0; step < 200; ++step, ++k) {
+      const double t = (k - 1) * dt;  // the newest sample
+      for (const double stage : {t, t + 0.5 * dt, t + 0.5 * dt, t + dt}) {
+        const double recent = stage - tau_prime;
+        reads.emplace_back(recent, h.value(0, recent));
+        const double times[2] = {recent - tau_star, recent - tau_star};
+        double out[2];
+        h.values_at(0, times, out);
+        reads.emplace_back(times[0], out[0]);
+        reads.emplace_back(times[1], out[1]);
+      }
+      append(k);
+    }
+    const LookupCounts counts = armed_lookup_counts();
+    obs::reset();
+    obs::set_metrics_enabled(was_enabled);
+
+    for (const auto& [t, v] : reads) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(v),
+                std::bit_cast<std::uint64_t>(History(ref).value(0, t)))
+          << "rows_back=" << rows_back << " t=" << t;
+    }
+    const std::uint64_t n = reads.size();
+    expect_counts(counts, {n, 0, n - 2});
   }
 }
 
