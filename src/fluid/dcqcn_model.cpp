@@ -1,6 +1,7 @@
 #include "fluid/dcqcn_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -77,6 +78,8 @@ double DcqcnFluidModel::suggested_dt() const {
 
 DcqcnFluidModel::MarkingShared DcqcnFluidModel::make_marking_shared(
     double p_delayed) const {
+  const std::uint64_t key = std::bit_cast<std::uint64_t>(p_delayed);
+  if (memo_.marking_set && memo_.p_delayed_bits == key) return memo_.marking;
   const DcqcnFluidParams& P = params_;
   MarkingShared m{};
   m.p = std::clamp(p_delayed, 0.0, 1.0);
@@ -84,6 +87,9 @@ DcqcnFluidModel::MarkingShared DcqcnFluidModel::make_marking_shared(
   const double B = P.byte_counter_pkts();
   m.byte_factor = increase_event_factor(m.p, m.l, B);               // ~ 1/B
   m.byte_ai = pow1m(m.l, P.fast_recovery_steps * B);                // P(in AI, byte)
+  memo_.marking_set = true;
+  memo_.p_delayed_bits = key;
+  memo_.marking = m;
   return m;
 }
 
@@ -98,6 +104,12 @@ DcqcnFluidModel::FlowDerivatives DcqcnFluidModel::flow_rhs(
 
 DcqcnFluidModel::RateShared DcqcnFluidModel::make_rate_shared(
     const MarkingShared& m, double rc_delayed) const {
+  const std::uint64_t p_key = std::bit_cast<std::uint64_t>(m.p);
+  const std::uint64_t rc_key = std::bit_cast<std::uint64_t>(rc_delayed);
+  if (memo_.rate_set && memo_.p_bits == p_key &&
+      memo_.rc_delayed_bits == rc_key) {
+    return memo_.rate;
+  }
   const DcqcnFluidParams& P = params_;
   const double p = m.p;
   RateShared r{};
@@ -119,6 +131,10 @@ DcqcnFluidModel::RateShared DcqcnFluidModel::make_rate_shared(
   // original dRt/dt sum exactly, so folding them here is bit-neutral.
   r.ai_byte = P.rate_ai_pps() * r.rcd * m.byte_ai * m.byte_factor;
   r.ai_timer = P.rate_ai_pps() * r.rcd * timer_ai * r.timer_factor;
+  memo_.rate_set = true;
+  memo_.p_bits = p_key;
+  memo_.rc_delayed_bits = rc_key;
+  memo_.rate = r;
   return r;
 }
 

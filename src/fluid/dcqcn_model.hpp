@@ -145,6 +145,8 @@ class DcqcnFluidModel final : public FluidModel {
   /// term, so one rhs() evaluation pays one log1p total. All expressions
   /// (and their p->0 / p->1 guards) are verbatim those of the per-flow
   /// helpers, so results are bit-identical to evaluating them per flow.
+  /// A call whose p_delayed has the bits of the previous call's returns the
+  /// previous result (memo_): RK4 stages 2 and 3 read one delayed instant.
   struct MarkingShared {
     double p;            ///< clamped delayed marking probability
     double l;            ///< log1p(-p)
@@ -157,7 +159,9 @@ class DcqcnFluidModel final : public FluidModel {
   /// every transcendental the flow RHS needs. In symmetric many-flow runs
   /// the delayed rates are bitwise identical across flows, so rhs() computes
   /// one RateShared per run of equal delayed rates and the 10k-flow hot loop
-  /// pays ~one expm1/exp set per evaluation instead of 10k.
+  /// pays ~one expm1/exp set per evaluation instead of 10k. Memoized like
+  /// make_marking_shared, keyed on the bits of m.p (m.l is log1p(-m.p)) and
+  /// of rc_delayed.
   struct RateShared {
     double rcd;                 ///< delayed rate clamped to kMinRatePps
     double cnp_prob_tau;        ///< 1 - (1-p)^{tau Rc}
@@ -178,7 +182,24 @@ class DcqcnFluidModel final : public FluidModel {
   // The PI variant reuses these flow dynamics with its own marking source.
   friend class DcqcnPiFluidModel;
 
+  /// One-entry memos of the delayed terms: the bits of the last inputs and
+  /// what they produced. The terms are pure functions of those bits and of
+  /// params_, so a hit returns exactly what the computation would. Keys are
+  /// input bits, never times: the history can change between two calls at
+  /// one time, and -0.0 and 0.0 give different log1p signs.
+  struct DelayedTermsMemo {
+    bool marking_set = false;
+    std::uint64_t p_delayed_bits = 0;
+    MarkingShared marking{};
+    bool rate_set = false;
+    std::uint64_t p_bits = 0;
+    std::uint64_t rc_delayed_bits = 0;
+    RateShared rate{};
+  };
+
   DcqcnFluidParams params_;
+  // rhs() scratch, like TIMELY's lookup buffers: one solver at a time.
+  mutable DelayedTermsMemo memo_;
 };
 
 }  // namespace ecnd::fluid

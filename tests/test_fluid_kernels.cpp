@@ -390,5 +390,53 @@ TEST(FluidBounds, WeightMatchesPiecewiseEquation30) {
   }
 }
 
+// DcqcnFluidModel memoizes its delayed marking and rate terms on the exact
+// bits of their inputs. Every result of a long-lived model, whatever came
+// before it, must equal a fresh model's single call bit for bit.
+
+TEST(DcqcnMemo, EveryCallMatchesAFreshModel) {
+  DcqcnFluidParams p;
+  p.num_flows = 2;
+  const DcqcnFluidModel m(p);
+  const double c = p.capacity_pps();
+  const double rc = 0.45 * c;
+  const double rc_up = std::nextafter(rc, HUGE_VAL);
+  struct Input {
+    double p_delayed;
+    double rc_delayed;
+  };
+  const std::vector<Input> inputs = {
+      {0.004, rc},   {0.004, rc},     // a repeat
+      {0.006, rc},                    // only p_delayed changes
+      {0.006, rc_up},                 // only rc_delayed changes, by one ulp
+      {0.0, rc_up},  {1e-13, rc_up},  // the p <= 1e-12 guards
+      {-0.0, rc_up}, {0.0, rc_up},    // signed zeros: log1p's sign differs
+      {1.0, rc},     {1.5, rc},       // p >= 1; 1.5 clamps to the same p
+      {0.004, rc}};                   // an input seen before, not last
+  const auto bits_of = [](const DcqcnFluidModel::FlowDerivatives& d) {
+    return std::vector<std::uint64_t>{bits(d.dalpha), bits(d.dtarget),
+                                      bits(d.drate)};
+  };
+  const double alpha = 0.3;
+  const double rt = 0.6 * c;
+  const double rate = 0.5 * c;
+  std::vector<std::vector<std::uint64_t>> fresh;
+  for (const Input& in : inputs) {
+    fresh.push_back(bits_of(DcqcnFluidModel(p).flow_rhs(
+        alpha, rt, rate, in.p_delayed, in.rc_delayed)));
+  }
+  // The one-input changes move the result, so a key that left either input
+  // out would return a stale one.
+  EXPECT_NE(fresh[2], fresh[1]);
+  EXPECT_NE(fresh[3], fresh[2]);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Input& in = inputs[i];
+    EXPECT_EQ(bits_of(m.flow_rhs(alpha, rt, rate, in.p_delayed, in.rc_delayed)),
+              fresh[i])
+        << "input " << i << ": p_delayed=" << in.p_delayed
+        << " rc_delayed=" << in.rc_delayed;
+  }
+}
+
 }  // namespace
 }  // namespace ecnd::fluid
