@@ -21,7 +21,7 @@ double TimeSeries::last_time() const {
 
 double TimeSeries::value_at(double t) const {
   if (samples_.empty()) return 0.0;
-  if (t <= samples_.front().t) return samples_.front().value;
+  if (!(t > samples_.front().t)) return samples_.front().value;  // NaN too
   if (t >= samples_.back().t) return samples_.back().value;
   const auto it = std::lower_bound(
       samples_.begin(), samples_.end(), t,
@@ -107,8 +107,9 @@ double TimeSeries::stddev_over(double t0, double t1) const {
 TimeSeries TimeSeries::resampled(std::size_t n, double t0, double t1) const {
   TimeSeries out(name_);
   if (samples_.empty() || n == 0) return out;
-  t0 = std::max(t0, first_time());
-  t1 = std::min(t1, last_time());
+  // The span's end first, so a NaN bound means that end, as in window().
+  t0 = std::max(first_time(), t0);
+  t1 = std::min(last_time(), t1);
   if (t1 < t0) {
     // Window entirely outside the span: clamp to the nearest endpoint so a
     // non-empty series always yields at least one sample (analyzers window

@@ -38,7 +38,8 @@ class TimeSeries {
   double first_time() const;
   double last_time() const;
 
-  /// Linear interpolation at time t (clamped to the series' span).
+  /// Linear interpolation at time t (clamped to the series' span; a NaN t
+  /// reads the first sample).
   double value_at(double t) const;
 
   /// The samples with t in [t0, t1]; empty when t1 < t0. Every windowed
@@ -64,7 +65,7 @@ class TimeSeries {
   /// requests stay well-defined: n == 0 (or an empty series) yields an empty
   /// copy; n == 1, t0 == t1, or a window that clamps to a single instant
   /// yields exactly one sample; a window entirely outside the span clamps to
-  /// the nearest endpoint.
+  /// the nearest endpoint. A NaN bound means that end of the span.
   TimeSeries resampled(std::size_t n, double t0, double t1) const;
 
  private:

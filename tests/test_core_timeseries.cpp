@@ -32,6 +32,17 @@ TEST(TimeSeries, ValueAtClampsOutsideSpan) {
   TimeSeries ts = ramp();
   EXPECT_DOUBLE_EQ(ts.value_at(-1.0), 0.0);
   EXPECT_DOUBLE_EQ(ts.value_at(99.0), 10.0);
+  // A NaN time reads the first sample instead of the slot before it.
+  const double nan = std::nan("");
+  EXPECT_DOUBLE_EQ(ts.value_at(nan), 0.0);
+  // A NaN bound means that end of the span: [0, 0.5] here.
+  const TimeSeries r = ts.resampled(3, nan, 0.5);
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_DOUBLE_EQ(r[0].t, 0.0);
+  EXPECT_DOUBLE_EQ(r[1].t, 0.25);
+  EXPECT_DOUBLE_EQ(r[2].t, 0.5);
+  EXPECT_DOUBLE_EQ(r[1].value, 2.5);
+  EXPECT_DOUBLE_EQ(r[2].value, 5.0);
 }
 
 TEST(TimeSeries, WindowExtremes) {
