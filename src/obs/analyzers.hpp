@@ -230,7 +230,10 @@ inline OscillationResult oscillation(
 /// time-weighted means; a window without traffic has none and is skipped.
 /// nullopt when no window has traffic or `flows` is empty. Throws
 /// std::invalid_argument unless dt > 0, window > 0, t0 and t1 are finite
-/// with t0 <= t1, and every series is non-null and non-empty.
+/// with t0 <= t1, every series is non-null and non-empty, the window is at
+/// least the spacing of doubles at t0 and at t1 (a smaller one could leave
+/// a window's end equal to its start, and the loop would never advance), and
+/// (t1 - t0) / dt is below 2^53 (past it the step index is not exact).
 inline std::optional<double> windowed_jain(
     const std::vector<const TimeSeries*>& flows, double window, double dt,
     double t0, double t1) {
@@ -247,6 +250,17 @@ inline std::optional<double> windowed_jain(
   }
   if (!(window > 0.0)) {
     throw std::invalid_argument("windowed_jain: window must be > 0");
+  }
+  // t + window / 2 > t only when the window spans the gap from t to the
+  // next double. The widest gap in [t0, t1] is at an end, and a window that
+  // spans it always moves `start`. t + window > t alone would pass half a
+  // gap, whose tie can round back onto an even `start`.
+  if (!(t0 + 0.5 * window > t0) || !(t1 + 0.5 * window > t1)) {
+    throw std::invalid_argument(
+        "windowed_jain: window is below the spacing of doubles at t0 or t1");
+  }
+  if (!((t1 - t0) / dt < 0x1p53)) {
+    throw std::invalid_argument("windowed_jain: (t1 - t0) / dt must be below 2^53");
   }
   const std::size_t n = flows.size();
   std::vector<double> prev(n), rates(n), area(n, 0.0);

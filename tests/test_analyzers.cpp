@@ -275,6 +275,25 @@ TEST(WindowedFairness, RejectsReversedOrNonFiniteBounds) {
                std::invalid_argument);
   EXPECT_THROW(obs::windowed_jain({&f}, 0.0, 1e-4, 0.2, 0.3),
                std::invalid_argument);
+  // A window below the spacing of doubles at a bound would never move the
+  // open window's start: 1e-11 against a spacing of 1.2e-10 at 1e6, and
+  // half a spacing on an odd/even pair of neighbours, where t1 + window
+  // alone does move t1 but the tie at the even neighbour rounds back.
+  TimeSeries g("g");
+  g.push(1e6, 1.0);
+  g.push(1e6 + 1e-6, 2.0);
+  EXPECT_THROW(obs::windowed_jain({&f, &g}, 1e-11, 1e-7, 1e6, 1e6 + 1e-6),
+               std::invalid_argument);
+  const double u = 0x1p-52;
+  EXPECT_THROW(obs::windowed_jain({&f}, u / 2, u, 1.0 + u, 1.0 + 3 * u),
+               std::invalid_argument);
+  // A step count of 2^53 or more is not exact as a double loop index (and
+  // past size_t not convertible at all).
+  EXPECT_THROW(obs::windowed_jain({&f}, 0.01, 1e-300, 0.0, 1.0),
+               std::invalid_argument);
+  EXPECT_THROW(obs::windowed_jain({&f}, 0.01, 0x1p-53, 0.0, 1.0),
+               std::invalid_argument);
+  EXPECT_NO_THROW(obs::windowed_jain({&f}, 0.01, 0.25, 0.0, 1.0));
 }
 
 // --- AnalyzerPins: exact values on fixed irregular series -------------------
