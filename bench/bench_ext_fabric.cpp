@@ -185,7 +185,9 @@ int main(int argc, char** argv) {
         r.pause_frames = p.u();
         return r;
       },
-      par::FaultPolicy{2});
+      // One attempt: a cell is a pure function of its index, so a retry
+      // would fail the same way.
+      par::FaultPolicy{1});
   bench::report_timing("ext_fabric.incast", incast_sweep.report.timing);
   bench::report_journal("ext_fabric.incast", ctx.journal(), incast_sweep.stats);
 
@@ -266,7 +268,9 @@ int main(int argc, char** argv) {
         r.pause_frames = p.u();
         return r;
       },
-      par::FaultPolicy{2});
+      // One attempt: a cell is a pure function of its index, so a retry
+      // would fail the same way.
+      par::FaultPolicy{1});
   bench::report_timing("ext_fabric.shuffle", shuffle_sweep.report.timing);
   bench::report_journal("ext_fabric.shuffle", ctx.journal(),
                         shuffle_sweep.stats);
@@ -390,7 +394,9 @@ int main(int argc, char** argv) {
         r.top_pauses = p.u();
         return r;
       },
-      par::FaultPolicy{2});
+      // One attempt: a cell is a pure function of its index, so a retry
+      // would fail the same way.
+      par::FaultPolicy{1});
   bench::report_timing("ext_fabric.storm", storm_sweep.report.timing);
   bench::report_journal("ext_fabric.storm", ctx.journal(), storm_sweep.stats);
 

@@ -79,7 +79,10 @@ MarginGrid print_margin_grid(bench::SweepContext& ctx, const char* label,
         return control::dcqcn_stability(p).phase_margin_deg;
       },
       [](double margin) { return FieldWriter().f(margin).str(); },
-      [](FieldParser& p) { return p.f(); }, par::FaultPolicy{2});
+      [](FieldParser& p) { return p.f(); },
+      // One attempt: the analysis is deterministic, so a retry would fail
+      // the same way.
+      par::FaultPolicy{1});
   bench::report_timing(label, sweep.report.timing);
   bench::report_journal(label, ctx.journal(), sweep.stats);
   out.margins = std::move(sweep.rows);
