@@ -75,7 +75,9 @@ sanitize_suite() {
 # TSan is opt-in (--tsan-only): it needs its own build tree and roughly 5-15x
 # slower tests, but it is the tool that actually sees data races in the
 # parallel sweep engine — run it after touching src/core/parallel.* or
-# src/obs/task_store.hpp.
+# src/obs/task_store.hpp, or after adding mutable scratch (lookup cursors,
+# buffers, memos) to a fluid model or to History: a model or History shared
+# by two sweep tasks would race on it.
 tsan_suite() {
   echo "== ThreadSanitizer build + tests =="
   build_suite build-tsan -DECND_TSAN=ON
