@@ -551,17 +551,31 @@ TEST(History, DeepRetentionMatchesUntrimmedReference) {
   History deep(2);
   deep.set_deep_retention(0, 1);
   History ref(2);
+  // Rows on a 1 ms grid plus the off-grid samples a sub-stepping writer
+  // leaves: a half-step sample after every fifth row, and a second sample
+  // at the repeated time t = 0.6.
   auto extend = [&](History& h, int from, int to) {
     for (int i = from; i <= to; ++i) {
       const double row[2] = {0.37 * i * i, -2.0 * i};
       h.append(i * 1e-3, row);
+      if (i % 5 == 3) {
+        const double half[2] = {0.37 * i * (i + 1), 1.0 - 2.0 * i};
+        h.append((i + 0.5) * 1e-3, half);
+      }
+      if (i == 600) {
+        const double again[2] = {row[0] + 5.0, row[1] - 5.0};
+        h.append(i * 1e-3, again);
+      }
     }
   };
   extend(deep, 0, 1000);
   extend(ref, 0, 1000);
   deep.trim_before(0.9, 0.2);  // rows >= 0.9, deep var >= 0.2
-  for (const double t : {0.2, 0.2004, 0.45, 0.5995, 0.731, 0.8999, 0.9,
-                         0.9001, 0.95, 1.0}) {
+  // The deep store ends on the half-step sample at t = 0.8985, so 0.8987
+  // bridges from it to the first surviving row.
+  for (const double t : {0.2, 0.2004, 0.45, 0.5995, 0.6, 0.6003, 0.731,
+                         0.7335, 0.7337, 0.8987, 0.8999, 0.9, 0.9001, 0.95,
+                         1.0}) {
     EXPECT_EQ(deep.value(0, t), ref.value(0, t)) << "t=" << t;
   }
   // Below the deep window the lookup clamps to the kept deep start (the
@@ -577,11 +591,12 @@ TEST(History, DeepRetentionMatchesUntrimmedReference) {
   extend(deep, 1001, 2000);
   extend(ref, 1001, 2000);
   deep.trim_before(1.9, 0.5);
-  for (const double t : {0.5, 0.731, 0.9, 1.2504, 1.8999, 1.9, 1.95, 2.0}) {
+  for (const double t : {0.5, 0.6, 0.731, 0.8987, 0.9, 1.2504, 1.2535,
+                         1.8999, 1.9, 1.95, 2.0}) {
     EXPECT_EQ(deep.value(0, t), ref.value(0, t)) << "t=" << t;
     EXPECT_EQ(deep.values(t, 0, 1)[0], ref.value(0, t)) << "t=" << t;
   }
-  const std::vector<double> times = {0.55, 0.55, 1.89, 0.77, 1.95, 1.95};
+  const std::vector<double> times = {0.55, 0.55, 1.89, 0.6, 0.77, 1.95, 1.95};
   std::vector<double> out(times.size());
   deep.values_at(0, times, out);
   for (std::size_t i = 0; i < times.size(); ++i) {
@@ -637,27 +652,11 @@ TEST(DdeSolver, DeepRetentionTrajectoryBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// HistoryPins: long guarded runs of the paper's two models, pinned bit for
-// bit. Each run is long enough for every history store to turn over its
-// window many times (the storage before the history ring compacted its dead
-// prefix in both stores during these runs), and a guard rejects a few whole
-// steps, so off-grid sub-step samples sit among the grid samples, and a
-// burst of them overfills the retained window. Recorded before the history
-// became a ring; any change to how History stores or finds samples that is
-// not bit-neutral moves a digest or a count.
-
-/// Rejects the first trial step ending at or after each listed time (sorted
-/// ascending): the solver then commits a half step and the remainder. A time
-/// listed twice rejects the remainder too, which commits a quarter step.
-DdeSolver::Guard reject_at(std::vector<double> times) {
-  return [times = std::move(times), next = std::size_t{0}](
-             double t, std::span<const double>, Diagnostic& diag) mutable {
-    if (next == times.size() || t < times[next]) return true;
-    ++next;
-    diag = Diagnostic::make("HistoryPins", "x", t, 0.0, "injected rejection");
-    return false;
-  };
-}
+// HistoryPins: long runs of the paper's two models, pinned bit for bit.
+// Each run is long enough for every history store to turn over its window
+// many times (the storage before the history ring compacted its dead prefix
+// in both stores during these runs). Any change to how History stores or
+// finds samples that is not bit-neutral moves a digest or a count.
 
 /// Reads of `h` at the solver's time t: the queue (variable 0, deep-retained
 /// for TIMELY) and `rows_var` (rows only) at on-grid and off-grid offsets
@@ -715,21 +714,18 @@ LookupCounts armed_lookup_counts() {
 struct PinnedRun {
   std::uint64_t state_digest = 0;  // end state
   std::uint64_t probe_digest = 0;  // every probe() after every segment
-  std::uint64_t steps_retried = 0;
   LookupCounts counts;
 };
 
 /// Runs `model` from x0 through each segment end, probing after each, with
 /// the lookup counters armed from zero for the whole run.
 PinnedRun run_pinned(const FluidModel& model, std::vector<double> x0,
-                     std::size_t rows_var, const std::vector<double>& ends,
-                     std::vector<double> rejections) {
+                     std::size_t rows_var, const std::vector<double>& ends) {
   const bool was_enabled = obs::metrics_enabled();
   obs::set_metrics_enabled(true);
   obs::reset();
   const double dt = model.suggested_dt();
   DdeSolver solver(model, std::move(x0), 0.0, dt);
-  solver.set_guard(reject_at(std::move(rejections)));
   std::vector<double> probes;
   for (const double end : ends) {
     solver.run_until(end, nullptr, 0.0);
@@ -739,7 +735,6 @@ PinnedRun run_pinned(const FluidModel& model, std::vector<double> x0,
   const std::span<const double> x = solver.state();
   run.state_digest = digest(std::vector<double>(x.begin(), x.end()));
   run.probe_digest = digest(probes);
-  run.steps_retried = solver.steps_retried();
   run.counts = armed_lookup_counts();
   obs::reset();
   obs::set_metrics_enabled(was_enabled);
@@ -757,7 +752,7 @@ void expect_counts(const LookupCounts& got, const LookupCounts& want) {
 #endif
 }
 
-TEST(HistoryPins, LongGuardedRunsMatchParent) {
+TEST(HistoryPins, LongRunsMatchParent) {
   {
     // Patched TIMELY, 3 flows, 100 us feedback jitter: the queue's deep
     // store spans about 85k samples and jittered lookups jump backward.
@@ -771,18 +766,11 @@ TEST(HistoryPins, LongGuardedRunsMatchParent) {
       x0[m.rate_index(i)] = m.capacity_pps() / 3.0 * (0.8 + 0.2 * i);
     }
     const double dt = m.suggested_dt();
-    std::vector<double> rejections = {3 * dt, 1e-3, 1e-3};
-    for (int k = 0; k < 40; ++k) rejections.push_back(0.03 + (k - 0.25) * dt);
-    rejections.push_back(0.062 - 20 * dt);
-    rejections.push_back(0.078 - 3 * dt);
     const PinnedRun run = run_pinned(m, std::move(x0), m.rate_index(1),
-                                     {0.005, 0.03 + 45 * dt, 0.062, 0.078}, rejections);
-    EXPECT_EQ(run.state_digest, 6939724140862234070u);
-    EXPECT_EQ(run.probe_digest, 11850908906459855621u);
-    EXPECT_EQ(run.steps_retried, 44u);
-    // Since each lookup lane keeps its own cursor, the tau* lane no longer
-    // drags the tau' lane's cursor back: only hint_hits moved.
-    expect_counts(run.counts, {3567416, 11051, 2385700});
+                                     {0.005, 0.03 + 45 * dt, 0.062, 0.078});
+    EXPECT_EQ(run.state_digest, 7988859795569755624u);
+    EXPECT_EQ(run.probe_digest, 6526502245364388438u);
+    expect_counts(run.counts, {3565992, 11019, 2384613});
   }
   {
     // DCQCN, 3 flows from inside the marking band: full rows only.
@@ -795,16 +783,12 @@ TEST(HistoryPins, LongGuardedRunsMatchParent) {
       x0[m.rate_index(i)] = m.capacity_pps() / 3.0 * (0.7 + 0.3 * i);
     }
     const double dt = m.suggested_dt();
-    std::vector<double> rejections = {3 * dt, 2e-3, 2e-3};
-    for (int k = 0; k < 40; ++k) rejections.push_back(5e-3 + (k - 0.25) * dt);
-    rejections.push_back(0.012 - 3 * dt);
     const PinnedRun run = run_pinned(m, std::move(x0), m.rate_index(1),
-                                     {0.001, 5e-3 + 45 * dt, 0.009, 0.012}, rejections);
-    EXPECT_EQ(run.state_digest, 17281477372355948524u);
-    EXPECT_EQ(run.probe_digest, 12198627065235726822u);
-    EXPECT_EQ(run.steps_retried, 43u);
+                                     {0.001, 5e-3 + 45 * dt, 0.009, 0.012});
+    EXPECT_EQ(run.state_digest, 518816728635436437u);
+    EXPECT_EQ(run.probe_digest, 18172635688418073996u);
     // probe()'s one values_at() batch starts on a cold lane cursor.
-    expect_counts(run.counts, {192968, 202, 192447});
+    expect_counts(run.counts, {192264, 190, 191798});
   }
 }
 
