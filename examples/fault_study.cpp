@@ -14,7 +14,8 @@
 // so the CSV is also byte-identical at any ECND_THREADS.
 //
 // Usage: fault_study [flows] [duration_s] [seed]
-// Bad arguments print usage and exit 2.
+// Bad arguments print usage and exit 2, as does a duration the packet
+// clock's 64-bit picosecond count cannot hold (about 9.22e6 s).
 
 #include <algorithm>
 #include <cstdio>
@@ -24,6 +25,7 @@
 #include "core/cli_args.hpp"
 #include "core/parallel.hpp"
 #include "core/stats.hpp"
+#include "core/units.hpp"
 #include "exp/scenarios.hpp"
 #include "obs/manifest.hpp"
 
@@ -96,10 +98,12 @@ int main(int argc, char** argv) {
   if (argc > 4 || (argc > 1 && !cli::parse_int(argv[1], flows)) ||
       (argc > 2 && !cli::parse_double(argv[2], duration_s)) ||
       (argc > 3 && !cli::parse_seed(argv[3], seed)) || flows <= 0 ||
-      duration_s <= 0.0) {
+      duration_s <= 0.0 ||
+      !(duration_s * static_cast<double>(kPicosPerSecond) < 0x1p63)) {
     std::fprintf(stderr,
-                 "usage: fault_study [flows > 0] [duration_s > 0] [seed]\n"
-                 "(a run with no flows has no fairness to report)\n");
+                 "usage: fault_study [flows > 0] [0 < duration_s < 9.2e6] [seed]\n"
+                 "(a run with no flows has no fairness to report; the packet\n"
+                 "clock counts picoseconds in 64 bits, about 9.22e6 s)\n");
     return 2;
   }
 

@@ -9,7 +9,8 @@
 //   fluid_explorer dcqcn-pi [N] [qref_pkts]        [duration_s]
 //
 // Output: CSV on stdout with columns t, queue_kb, rate0_gbps, rate1_gbps...
-// Bad arguments (or parameters a model rejects) print usage and exit 2.
+// Bad arguments (or parameters a model or the solver rejects, such as a
+// duration of 2^53 steps or more) print usage and exit 2.
 
 #include <cstdio>
 #include <cstring>
@@ -50,6 +51,7 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<fluid::FluidModel> model;
+  fluid::FluidRun run;
   try {
     if (std::strcmp(which, "dcqcn") == 0) {
       fluid::DcqcnFluidParams p;
@@ -76,12 +78,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown model '%s'\n", which);
       return usage();
     }
+    run = fluid::simulate(*model, duration, duration / 2000.0);
   } catch (const InvariantViolation& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return usage();
   }
-
-  const auto run = fluid::simulate(*model, duration, duration / 2000.0);
 
   std::printf("t_s,queue_kb");
   for (int i = 0; i < model->num_flows(); ++i) std::printf(",rate%d_gbps", i);

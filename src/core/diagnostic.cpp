@@ -33,16 +33,6 @@ std::string Diagnostic::to_string() const {
     out += detail;
     out += ")";
   }
-  if (!last_good_state.empty()) {
-    char line[64];
-    std::snprintf(line, sizeof(line), "\n  last good state at t=%.9gs:",
-                  last_good_time);
-    out += line;
-    for (double v : last_good_state) {
-      std::snprintf(line, sizeof(line), " %.9g", v);
-      out += line;
-    }
-  }
   return out;
 }
 

@@ -2,24 +2,23 @@
 // Structured invariant-violation reporting shared by the packet simulator and
 // the fluid engine.
 //
-// Every engine-level sanity check (non-finite fluid state, negative queue
-// occupancy, runaway rate register, exhausted event budget, ...) fails by
-// throwing InvariantViolation carrying a Diagnostic, so a corrupted run dies
-// loudly at the first bad state — with enough context to attribute it — rather
-// than silently emitting garbage CSVs. The guards that decide *what* to check
-// live next to each engine (sim/, fluid/) and in src/robust; this header only
-// defines the report format they share.
+// Every engine-level sanity check (unsorted fluid history, a fluid horizon
+// too long to count, negative queue occupancy, runaway rate register,
+// exhausted event budget, ...) fails by throwing InvariantViolation carrying
+// a Diagnostic, so a corrupted run dies loudly at the first bad state — with
+// enough context to attribute it — rather than silently emitting garbage
+// CSVs. The checks that decide *what* to check live next to each engine
+// (sim/, fluid/); this header only defines the report format they share.
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace ecnd {
 
 /// The report attached to a tripped invariant: which component, which
-/// variable, when, and the last state known to be good.
+/// variable, when, and the offending value.
 struct Diagnostic {
   std::string component;  ///< e.g. "DdeSolver", "Port sw0:p2", "Host h3"
   std::string variable;   ///< e.g. "q", "flow2.rate", "queued_bytes[1]"
@@ -32,16 +31,10 @@ struct Diagnostic {
   /// thousand-cell sweep is attributable without re-running anything.
   std::int64_t task_index = -1;
 
-  /// Last accepted state before the violation (fluid engine only; empty for
-  /// packet-level checks, which have no single state vector).
-  double last_good_time = 0.0;
-  std::vector<double> last_good_state;
-
-  /// One-line human-readable rendering (multi-line when a last-good state is
-  /// attached).
+  /// One-line human-readable rendering.
   std::string to_string() const;
 
-  /// Builder for the common five fields (last-good state attached later).
+  /// Builder for the common five fields.
   static Diagnostic make(std::string component, std::string variable,
                          double time, double value, std::string detail) {
     Diagnostic d;

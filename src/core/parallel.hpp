@@ -78,7 +78,8 @@ SweepTiming parallel_for_each(std::size_t count,
 /// tries. The attempt number is passed to the task, so a retry that changes
 /// what the task computes stays reproducible from (index, attempt) alone; a
 /// task that ignores it repeats the same deterministic work, which is why
-/// Figure 20's fluid sweep runs a single attempt.
+/// every production sweep (fig03, fig14, fig20, ext_fabric, perfbench's
+/// paper_sweep) runs a single attempt.
 struct FaultPolicy {
   int max_attempts = 2;  ///< total tries per task; < 1 behaves as 1
 };

@@ -28,18 +28,17 @@ sim::RateControllerFactory make_factory(Protocol protocol,
   return {};
 }
 
-/// Shared fault/watchdog wiring for both runners. The injector must outlive
-/// the run (ports keep hooks into it).
+/// Shared fault and event-budget wiring for both runners. The injector must
+/// outlive the run (ports keep hooks into it).
 void arm_robustness(sim::Network& net, robust::FaultInjector& injector,
                     const robust::FaultProfile& faults, sim::Port& bottleneck,
-                    std::uint64_t event_budget, double wall_clock_limit_s) {
+                    std::uint64_t event_budget) {
   if (faults.any()) {
     injector.attach_host_nics(net, faults);
     const robust::FaultProfile data_faults = faults.data_only();
     if (data_faults.any()) injector.attach(bottleneck, data_faults);
   }
   if (event_budget != 0) net.sim().set_event_budget(event_budget);
-  if (wall_clock_limit_s > 0.0) net.sim().set_wall_clock_limit(wall_clock_limit_s);
 }
 
 }  // namespace
@@ -89,7 +88,7 @@ LongFlowResult run_long_flows(const LongFlowConfig& config) {
 
   robust::FaultInjector injector(config.fault_seed);
   arm_robustness(net, injector, config.faults, star.bottleneck(),
-                 config.event_budget, config.wall_clock_limit_s);
+                 config.event_budget);
 
   // Launch one long flow per sender at its configured start time and rate.
   std::vector<std::uint64_t> flow_ids(static_cast<std::size_t>(config.flows), 0);
@@ -166,7 +165,7 @@ FctResult run_fct_experiment(const FctConfig& config) {
 
   robust::FaultInjector injector(config.fault_seed);
   arm_robustness(net, injector, config.faults, dumbbell.bottleneck(),
-                 config.event_budget, config.wall_clock_limit_s);
+                 config.event_budget);
 
   for (sim::Host* sender : dumbbell.senders) {
     switch (config.protocol) {

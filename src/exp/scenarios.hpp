@@ -61,10 +61,8 @@ struct LongFlowConfig {
   /// faulted run's base randomness is identical to its clean twin's.
   robust::FaultProfile faults;
   std::uint64_t fault_seed = 97;
-  /// Runaway-run watchdogs (0 = disabled): see Simulator::set_event_budget
-  /// and set_wall_clock_limit.
+  /// Runaway-run watchdog (0 = disabled): see Simulator::set_event_budget.
   std::uint64_t event_budget = 0;
-  double wall_clock_limit_s = 0.0;
 };
 
 struct LongFlowResult {
@@ -97,11 +95,11 @@ struct FctConfig {
   sim::RedConfig red{.enabled = true};
   sim::PfcConfig pfc{.enabled = true};  ///< RoCE fabrics run PFC
 
-  /// Degraded-feedback faults and watchdogs (see LongFlowConfig).
+  /// Degraded-feedback faults and the event-budget watchdog (see
+  /// LongFlowConfig).
   robust::FaultProfile faults;
   std::uint64_t fault_seed = 97;
   std::uint64_t event_budget = 0;
-  double wall_clock_limit_s = 0.0;
 };
 
 struct FctResult {

@@ -17,7 +17,7 @@ namespace ecnd::fluid {
 namespace {
 
 // Fluid-engine metrics.
-// fluid.rhs_evals is 4x the attempted RK4 advances; fluid.lookup_clamped
+// fluid.rhs_evals is 4x fluid.rk4_steps; fluid.lookup_clamped
 // counts delayed-state reads that fell off either end of the history window;
 // fluid.lookup_hint_hits counts interior reads served by their lane's cursor
 // walk (close to 100% of interior reads for the forward-moving RK4 lookup
@@ -25,7 +25,6 @@ namespace {
 // its binary search are not counted.
 const obs::Counter kRk4Steps = obs::counter("fluid.rk4_steps");
 const obs::Counter kRhsEvals = obs::counter("fluid.rhs_evals");
-const obs::Counter kStepRetries = obs::counter("fluid.step_retries");
 const obs::Counter kDelayedLookups = obs::counter("fluid.delayed_lookups");
 const obs::Counter kLookupClamped = obs::counter("fluid.lookup_clamped");
 const obs::Counter kLookupHintHits = obs::counter("fluid.lookup_hint_hits");
@@ -85,9 +84,9 @@ std::size_t History::Ring::lower_bound(std::size_t lo, double t) const {
 std::size_t History::Ring::bracket(double t) const {
   // The solver appends at t0 + k*dt, so the answer is about k =
   // ceil((t - t_first) / dt) samples past begin, with dt the mean spacing.
-  // Rounding, guarded sub-steps and hand-built histories put samples off
-  // that grid, so the guess is only trusted once times[k-1] < t <= times[k]
-  // holds, which pins down lower_bound's index.
+  // Rounding and hand-built histories put samples off that grid, so the
+  // guess is only trusted once times[k-1] < t <= times[k] holds, which pins
+  // down lower_bound's index.
   const std::size_t last = end - 1;
   const double t_first = time(begin);
   const double gaps = static_cast<double>(last - begin);
@@ -357,11 +356,6 @@ DdeSolver::DdeSolver(const DdeSystem& system, std::vector<double> initial_state,
   history_.append(t_, x_);
 }
 
-void DdeSolver::set_guard(Guard guard, int max_step_halvings) {
-  guard_ = std::move(guard);
-  max_step_halvings_ = max_step_halvings;
-}
-
 template <typename Value>
 void DdeSolver::bounded_pass(double* out, Value value) const {
   std::size_t i = 0;
@@ -382,7 +376,7 @@ void DdeSolver::bounded_pass(double* out, Value value) const {
   for (const std::size_t n = x_.size(); i < n; ++i) out[i] = value(i);
 }
 
-void DdeSolver::advance(double h) {
+void DdeSolver::advance() {
   kRk4Steps.add();
   kRhsEvals.add(4);
   obs::ProfScope rhs_scope("fluid.rhs");
@@ -394,6 +388,7 @@ void DdeSolver::advance(double h) {
   const double* k2 = k2_.data();
   const double* k3 = k3_.data();
   const double* k4 = k4_.data();
+  const double h = dt_;
   const double half_h = 0.5 * h;
   system_.rhs(t_, x_, history_, k1_);
   bounded_pass(tmp_.data(), [=](std::size_t i) { return x[i] + half_h * k1[i]; });
@@ -409,8 +404,10 @@ void DdeSolver::advance(double h) {
   });
 }
 
-void DdeSolver::commit(double t_new) {
-  t_ = t_new;
+void DdeSolver::step() {
+  advance();
+  ++step_index_;
+  t_ = grid_time(step_index_);
   history_.append(t_, x_);
 
   // Trim history we can never look back into again (keep 2x max delay).
@@ -420,70 +417,6 @@ void DdeSolver::commit(double t_new) {
     history_.trim_before(t_ - keep_rows_, t_ - keep_deep_);
     last_trim_ = t_;
   }
-}
-
-void DdeSolver::step() {
-  if (!guard_) {
-    advance(dt_);
-    ++step_index_;
-    commit(grid_time(step_index_));
-    return;
-  }
-
-  // Guarded path: the nominal step may be split into several accepted
-  // sub-steps, but it always finishes at the next grid point — a retry must
-  // never shift the time grid for the rest of the run. The halving budget is
-  // shared across the whole nominal step, so a guard that keeps rejecting
-  // (e.g. a hard NaN wall mid-step) exhausts it and surfaces its diagnostic
-  // instead of creeping toward the wall forever.
-  const double t_next = grid_time(step_index_ + 1);
-  int rejections = 0;
-  while (t_ < t_next) {
-    const double t_start = t_;
-    // An untouched step advances by exactly dt_ — bit-identical to the
-    // unguarded path, which (t_next - t_start) need not be at the ulp level.
-    const bool whole_step = t_start == grid_time(step_index_);
-    double h = whole_step ? dt_ : t_next - t_start;
-    bool covers = true;  // current h spans all the way to t_next
-    x_save_.assign(x_.begin(), x_.end());
-    Diagnostic diag;
-    bool accepted = false;
-    while (!accepted) {
-      advance(h);
-      diag = {};
-      // A sub-step covering the whole remainder lands exactly on the grid
-      // point rather than on t_start + h, which can differ by an ulp.
-      const double t_sub = covers ? t_next : t_start + h;
-      if (guard_(t_sub, x_, diag)) {
-        commit(t_sub);
-        accepted = true;
-        break;
-      }
-      // Rejected: roll back to the last accepted state and try a gentler step.
-      x_.assign(x_save_.begin(), x_save_.end());
-      kStepRetries.add();
-      obs::trace_instant("fluid.step_retry", t_start * 1e6, h);
-      if (++rejections > max_step_halvings_) {
-        if (diag.component.empty()) diag.component = "DdeSolver";
-        diag.last_good_time = t_start;
-        diag.last_good_state = x_save_;
-        throw InvariantViolation(std::move(diag));
-      }
-      h *= 0.5;
-      covers = false;
-    }
-    if (!(t_ > t_start)) {
-      // h underflowed below one ulp of t_: the guard keeps accepting steps
-      // too small to advance time. Abort rather than spin forever.
-      diag = Diagnostic::make("DdeSolver", "step_size", t_start, h,
-                              "guarded sub-step too small to advance time");
-      diag.last_good_time = t_start;
-      diag.last_good_state = x_save_;
-      throw InvariantViolation(std::move(diag));
-    }
-  }
-  ++step_index_;
-  if (rejections > 0) ++steps_retried_;
 }
 
 void DdeSolver::run_until(
@@ -497,9 +430,19 @@ void DdeSolver::run_until(
   // accumulates floating-point error — 1e7 steps end exactly where a single
   // computation says they should. The (1 - 1e-12) shaves representation
   // noise so a t_end that is meant to be a multiple of dt does not round up
-  // to an extra step.
-  std::uint64_t k_end = step_index_;
+  // to an extra step. Below 2^53 steps every index converts to a double
+  // exactly, so grid_time(k) stays on the grid; the bound also rejects NaN.
   const double raw = (t_end - t0_) / dt_;
+  if (!(raw < 0x1p53)) {
+    char detail[160];
+    std::snprintf(detail, sizeof(detail),
+                  "%.6g steps of dt=%.17g s from t0=%.17g s; the step count "
+                  "must be below 2^53",
+                  raw, dt_, t0_);
+    throw InvariantViolation(
+        Diagnostic::make("DdeSolver", "t_end", t_, t_end, detail));
+  }
+  std::uint64_t k_end = step_index_;
   if (raw > 0.0) {
     const auto k_raw = static_cast<std::uint64_t>(std::ceil(raw * (1.0 - 1e-12)));
     if (k_raw > k_end) k_end = k_raw;

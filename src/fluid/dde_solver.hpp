@@ -17,12 +17,10 @@
 // "flows start at t=0 with an empty queue").
 //
 // Time grid: the solver never accumulates `t += dt`. It tracks an integer
-// step index and computes t = t0 + k*dt per commit, so step counts (and the
+// step index and computes t = t0 + k*dt per step, so step counts (and the
 // observer's sample count) are exact for any horizon — 1e7 steps land on the
 // same grid points a fresh solver would compute, with no floating-point
-// drift. A guard-rejected step is retried at half size but always completes
-// the remaining sub-steps of the original dt, so retries never shift the
-// grid either.
+// drift.
 
 #include <cstddef>
 #include <cstdint>
@@ -43,8 +41,8 @@ namespace ecnd::fluid {
 /// i). Trimming only advances a ring's oldest live index, and an append
 /// reuses the oldest free slot, so no sample is ever moved or compacted.
 /// DdeSolver sizes the rings once, from the windows it trims to; a ring
-/// grows only when more samples arrive than that window holds (guarded
-/// sub-steps, or a History filled without a solver).
+/// grows only when more samples arrive than that window holds (a History
+/// filled without a solver, or a window too long for the solver to size).
 ///
 /// Lookups are amortized O(1): successive delayed reads within an RK4 step
 /// are non-decreasing in t per delay lane, so each lane keeps a monotonic
@@ -265,13 +263,6 @@ class DdeSystem {
 /// Fixed-step RK4 driver over a DdeSystem.
 class DdeSolver {
  public:
-  /// Invariant check run on every trial step before it is accepted. Returns
-  /// true to accept; on rejection fills `diag` (component/last-good fields
-  /// are completed by the solver). See robust/invariant_guard.hpp for the
-  /// standard guards (non-finite state, queue/rate bounds).
-  using Guard =
-      std::function<bool(double t, std::span<const double> x, Diagnostic& diag)>;
-
   /// Throws InvariantViolation when initial_state does not have dim()
   /// entries, dt is not a positive finite number, or the system's bounds()
   /// overlap or leave [0, dim()).
@@ -282,36 +273,25 @@ class DdeSolver {
   std::span<const double> state() const { return x_; }
   const History& history() const { return history_; }
 
-  /// Install an invariant guard. A rejected step is retried from the last
-  /// accepted state at half the step size (graceful degradation through a
-  /// stiff transient); the remaining sub-steps of the nominal dt are then
-  /// completed, so the post-step time is always t0 + k*dt regardless of
-  /// retries. `max_step_halvings` bounds the total rejections within one
-  /// nominal step; past it the solver throws InvariantViolation carrying
-  /// the guard's diagnostic plus the last good state.
-  void set_guard(Guard guard, int max_step_halvings = 6);
-
-  /// Steps that needed at least one halving before a guard accepted them.
-  std::uint64_t steps_retried() const { return steps_retried_; }
-
-  /// Advance one nominal step: time moves from t0 + k*dt to t0 + (k+1)*dt.
+  /// Advance one step: time moves from t0 + k*dt to t0 + (k+1)*dt.
   void step();
 
   /// Advance until time t_end, invoking `observer(t, x)` every
   /// `sample_interval` seconds (and at t_end). Pass a zero/negative interval
-  /// to observe every step.
+  /// to observe every step. Throws InvariantViolation naming t_end and dt
+  /// when (t_end - t0) / dt is NaN or at least 2^53 steps, past which the
+  /// step index no longer converts to a grid time exactly.
   void run_until(double t_end,
                  const std::function<void(double, std::span<const double>)>& observer,
                  double sample_interval);
 
  private:
-  /// One RK4 update of size h applied in place to x_ (no history append).
-  void advance(double h);
+  /// One RK4 update of size dt applied in place to x_ (no history append).
+  void advance();
   /// out[i] = value(i) for every i in [0, dim()), bounded by bounds_: one
   /// flat loop per bounds block and per unbounded gap, so each vectorizes.
   template <typename Value>
   void bounded_pass(double* out, Value value) const;
-  void commit(double t_new);
   double grid_time(std::uint64_t k) const {
     return t0_ + static_cast<double>(k) * dt_;
   }
@@ -326,11 +306,7 @@ class DdeSolver {
   History history_;
   // Scratch buffers for RK4 stages (avoid per-step allocation).
   std::vector<double> k1_, k2_, k3_, k4_, tmp_;
-  std::vector<double> x_save_;  // last accepted state, for guarded retries
-  Guard guard_;
-  int max_step_halvings_ = 6;
-  std::uint64_t steps_retried_ = 0;
-  // History windows commit() trims to: full rows back by keep_rows_ (twice
+  // History windows step() trims to: full rows back by keep_rows_ (twice
   // the system's max_row_delay() plus 10 dt), deep-retained variables back
   // by keep_deep_ (the same over max_delay()).
   double keep_rows_;

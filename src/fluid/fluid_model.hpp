@@ -38,7 +38,7 @@ class FluidModel : public DdeSystem {
   virtual double mtu_bytes() const = 0;
 
   /// Bottleneck capacity C in packets/s (the natural scale of every rate
-  /// variable; invariant guards bound rates by a multiple of it).
+  /// variable).
   virtual double capacity_pps() const = 0;
 
   double queue_bytes(std::span<const double> x) const {

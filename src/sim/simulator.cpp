@@ -63,42 +63,14 @@ void Simulator::release_slot(std::uint32_t idx) {
   free_head_ = idx;
 }
 
-void Simulator::arm_wall_clock() {
-  if (wall_limit_s_ <= 0.0) return;
-  wall_start_ = std::chrono::steady_clock::now();
-  // Force a real check on the very next processed event: the previous run
-  // may have left the amortization stride mid-window, which used to let a
-  // re-entered run_until() skip its first check against a stale wall_start_.
-  next_wall_check_ = processed_ + 1;
-}
-
-void Simulator::throw_if_wall_expired() {
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - wall_start_;
-  if (elapsed.count() > wall_limit_s_) {
-    throw InvariantViolation(Diagnostic::make(
-        "Simulator", "wall_clock_seconds", to_seconds(now_), elapsed.count(),
-        "wall-clock watchdog expired (limit " + std::to_string(wall_limit_s_) +
-            " s; " + std::to_string(processed_) + " events processed, " +
-            std::to_string(queue_.size()) + " still pending)"));
-  }
-}
-
-void Simulator::check_watchdogs() {
-  if (event_budget_ != 0 && processed_ > event_budget_) {
+void Simulator::check_event_budget() {
+  if (processed_ > event_budget_) {
     throw InvariantViolation(Diagnostic::make(
         "Simulator", "events_processed", to_seconds(now_),
         static_cast<double>(processed_),
         "event budget of " + std::to_string(event_budget_) + " exhausted (" +
             std::to_string(queue_.size()) +
             " events still pending; runaway self-rescheduling loop?)"));
-  }
-  // A chrono call per event would dominate the dispatch cost; amortize it on
-  // an explicit stride so arming (or re-arming) the limit can force the next
-  // event to check regardless of where processed_ sits in the stride.
-  if (wall_limit_s_ > 0.0 && processed_ >= next_wall_check_) {
-    next_wall_check_ = processed_ + 0x1000;
-    throw_if_wall_expired();
   }
 }
 
@@ -115,7 +87,7 @@ bool Simulator::run_one() {
   ++processed_;
   kEvents.add();
   obs::snapshot_tick(to_seconds(now_));
-  if (event_budget_ != 0 || wall_limit_s_ > 0.0) check_watchdogs();
+  if (event_budget_ != 0) check_event_budget();
   EventSlot& slot = slot_at(ev.slot);
   // Destroy + recycle even when the action throws (invariant guards inside
   // Port/Host actions do); the slot stays live during the call so the action
@@ -132,20 +104,14 @@ bool Simulator::run_one() {
 
 void Simulator::run_until(PicoTime t_end) {
   obs::ProfScope prof_scope("sim.run");
-  arm_wall_clock();
   while (!queue_.empty() && queue_.top().t <= t_end) run_one();
   if (now_ < t_end) now_ = t_end;
-  // The amortized in-loop check never fires when the queue drains first; a
-  // run whose last few actions blew the budget must still abort.
-  if (wall_limit_s_ > 0.0) throw_if_wall_expired();
 }
 
 void Simulator::run_all() {
   obs::ProfScope prof_scope("sim.run");
-  arm_wall_clock();
   while (run_one()) {
   }
-  if (wall_limit_s_ > 0.0) throw_if_wall_expired();
 }
 
 }  // namespace ecnd::sim

@@ -18,7 +18,6 @@
 // is exactly 64 bytes (sizeof(Packet) = 56). Capture a pointer or an index
 // rather than grow a closure past the budget.
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -82,16 +81,6 @@ class Simulator {
   /// pacing bug rescheduling itself with a zero gap — before they spin
   /// forever.
   void set_event_budget(std::uint64_t max_events) { event_budget_ = max_events; }
-  /// Watchdog: abort (InvariantViolation) once the host has spent more than
-  /// `seconds` of wall-clock time inside a single run_one()/run_until()/
-  /// run_all() episode. 0 disables. The clock restarts at every
-  /// run_until()/run_all() entry, so the limit bounds each run, not the
-  /// lifetime of the Simulator. Checked every few thousand events (and once
-  /// at the end of each run, so a run whose queue drains still trips).
-  void set_wall_clock_limit(double seconds) {
-    wall_limit_s_ = seconds;
-    arm_wall_clock();
-  }
 
   /// Run the next pending event; returns false when the queue is empty.
   bool run_one();
@@ -221,18 +210,13 @@ class Simulator {
   PicoTime clamp_schedule(PicoTime t);       // counts late_schedules
   std::uint32_t acquire_slot();              // free list first, else grow
   void release_slot(std::uint32_t idx);      // push back onto the free list
-  void arm_wall_clock();                     // restart the per-run clock
-  void check_watchdogs();
-  void throw_if_wall_expired();
+  void check_event_budget();                 // throws once it is exhausted
 
   PicoTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::uint64_t late_schedules_ = 0;
   std::uint64_t event_budget_ = 0;
-  double wall_limit_s_ = 0.0;
-  std::uint64_t next_wall_check_ = 0;
-  std::chrono::steady_clock::time_point wall_start_;
   EventHeap queue_;
   std::vector<std::unique_ptr<EventSlot[]>> chunks_;
   std::uint32_t next_unused_ = 0;

@@ -1,8 +1,8 @@
 // Export pins: FNV-1a digests of every observability export for one small
 // scenario run with every recorder armed — metrics, trace, flight (every flow
 // sampled), the sim-time snapshot sampler and the profiler. The scenario is a
-// two-task sweep of PFC pause storms on a leaf-spine plus a short guarded
-// DCQCN fluid run on the main thread. Any change that moves one byte of an
+// two-task sweep of PFC pause storms on a leaf-spine plus a short DCQCN
+// fluid run on the main thread. Any change that moves one byte of an
 // export (number rendering, escaping, task order, record order) fails here.
 //
 // The metrics registry is process-wide and keeps every name an earlier test
@@ -35,7 +35,6 @@
 #include "obs/profile.hpp"
 #include "obs/snapshot.hpp"
 #include "obs/trace.hpp"
-#include "robust/invariant_guard.hpp"
 
 namespace ecnd {
 namespace {
@@ -114,7 +113,7 @@ class ObsExportPins : public ::testing::Test {
 };
 
 /// Two sweep tasks, each a PFC pause storm on its own small leaf-spine, then
-/// a guarded two-flow DCQCN fluid run on the main thread (task 0).
+/// a two-flow DCQCN fluid run on the main thread (task 0).
 std::vector<std::uint64_t> run_scenario() {
   std::vector<std::uint64_t> pause_frames(2, 0);
   par::parallel_for_each(2, [&](std::size_t i) {
@@ -139,7 +138,6 @@ std::vector<std::uint64_t> run_scenario() {
   const fluid::DcqcnFluidModel model(params);
   fluid::DdeSolver solver(model, model.initial_state(), 0.0,
                           model.suggested_dt());
-  robust::guard_solver(solver, model);
   solver.run_until(0.002, nullptr, 0.0);
   return pause_frames;
 }

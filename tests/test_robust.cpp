@@ -1,152 +1,22 @@
-// Fault-injection and invariant-guard layer: the degraded-feedback and
-// fail-loudly machinery of src/robust plus its hooks in the sim and fluid
-// engines.
+// Fault injection and the packet engine's fail-loudly checks: the seeded
+// degraded-feedback faults of src/robust, their scenario wiring, the event
+// budget and the host rate-register check.
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
-#include <thread>
 
 #include "core/diagnostic.hpp"
-#include "fluid/dcqcn_model.hpp"
-#include "fluid/dde_solver.hpp"
 #include "exp/scenarios.hpp"
 #include "robust/fault_injector.hpp"
-#include "robust/invariant_guard.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
 #include "sim/port.hpp"
 
 namespace ecnd {
 namespace {
-
-// ---------------------------------------------------------------------------
-// InvariantGuard on the fluid engine.
-
-/// DCQCN fluid model whose RHS starts emitting NaN into flow 0's rate
-/// derivative after `nan_after` seconds — a stand-in for any model arithmetic
-/// bug (0/0 in an increase-factor term, log of a negative, ...).
-class NanInjectingModel final : public fluid::FluidModel {
- public:
-  NanInjectingModel(fluid::DcqcnFluidParams params, double nan_after)
-      : inner_(params), nan_after_(nan_after) {}
-
-  int num_flows() const override { return inner_.num_flows(); }
-  std::size_t queue_index() const override { return inner_.queue_index(); }
-  std::size_t rate_index(int flow) const override {
-    return inner_.rate_index(flow);
-  }
-  std::vector<double> initial_state() const override {
-    return inner_.initial_state();
-  }
-  double suggested_dt() const override { return inner_.suggested_dt(); }
-  double mtu_bytes() const override { return inner_.mtu_bytes(); }
-  double capacity_pps() const override { return inner_.capacity_pps(); }
-  std::size_t dim() const override { return inner_.dim(); }
-  double max_delay() const override { return inner_.max_delay(); }
-  std::vector<fluid::StateBounds> bounds() const override {
-    return inner_.bounds();
-  }
-
-  void rhs(double t, std::span<const double> x, const fluid::History& past,
-           std::span<double> dxdt) const override {
-    inner_.rhs(t, x, past, dxdt);
-    if (t >= nan_after_) {
-      dxdt[rate_index(0)] = std::numeric_limits<double>::quiet_NaN();
-    }
-  }
-
- private:
-  fluid::DcqcnFluidModel inner_;
-  double nan_after_;
-};
-
-TEST(InvariantGuard, CatchesInjectedNanAndNamesTheVariable) {
-  fluid::DcqcnFluidParams params;
-  params.num_flows = 2;
-  NanInjectingModel model(params, /*nan_after=*/0.002);
-  fluid::DdeSolver solver(model, model.initial_state(), 0.0,
-                          model.suggested_dt());
-  robust::guard_solver(solver, model);
-
-  try {
-    solver.run_until(0.01, nullptr, 0.0);
-    FAIL() << "expected InvariantViolation";
-  } catch (const InvariantViolation& violation) {
-    const Diagnostic& diag = violation.diagnostic();
-    EXPECT_EQ(diag.variable, "flow0.rate");
-    EXPECT_TRUE(std::isnan(diag.value));
-    EXPECT_GE(diag.time, 0.002);
-    // The report carries the last accepted state, and it is all finite.
-    ASSERT_EQ(diag.last_good_state.size(), model.dim());
-    for (double v : diag.last_good_state) EXPECT_TRUE(std::isfinite(v));
-    EXPECT_LT(diag.last_good_time, diag.time);
-    // Human rendering names the component and variable.
-    EXPECT_NE(violation.what(), nullptr);
-    EXPECT_NE(std::string(violation.what()).find("flow0.rate"),
-              std::string::npos);
-  }
-}
-
-TEST(InvariantGuard, CleanModelRunsUnchangedUnderGuard) {
-  fluid::DcqcnFluidParams params;
-  params.num_flows = 2;
-  fluid::DcqcnFluidModel model(params);
-
-  fluid::DdeSolver plain(model, model.initial_state(), 0.0,
-                         model.suggested_dt());
-  plain.run_until(0.01, nullptr, 0.0);
-
-  fluid::DdeSolver guarded(model, model.initial_state(), 0.0,
-                           model.suggested_dt());
-  robust::guard_solver(guarded, model);
-  guarded.run_until(0.01, nullptr, 0.0);
-
-  ASSERT_EQ(plain.state().size(), guarded.state().size());
-  for (std::size_t i = 0; i < plain.state().size(); ++i) {
-    EXPECT_DOUBLE_EQ(plain.state()[i], guarded.state()[i]);
-  }
-  EXPECT_EQ(guarded.steps_retried(), 0u);
-}
-
-/// dx/dt = -k x integrated with k*dt far beyond RK4's stability limit
-/// (|z| < 2.785): each full step multiplies |x| by ~3.1, each half step
-/// shrinks it. Without retries the bound guard aborts the run; with dt/2
-/// retries the solver rides through and the state stays bounded.
-TEST(InvariantGuard, DtHalvingRecoversAStiffRun) {
-  class Stiff final : public fluid::DdeSystem {
-   public:
-    std::size_t dim() const override { return 1; }
-    void rhs(double, std::span<const double> x, const fluid::History&,
-             std::span<double> dxdt) const override {
-      dxdt[0] = -3000.0 * x[0];
-    }
-    double max_delay() const override { return 1e-2; }
-  };
-  Stiff sys;
-  const double dt = 1.2e-3;  // z = -3.6: amplification factor ~3.1 per step
-
-  // No halvings allowed: the very first step trips the bound and aborts.
-  {
-    fluid::DdeSolver solver(sys, {1.0}, 0.0, dt);
-    solver.set_guard(robust::make_bound_guard(2.0, {"x"}),
-                     /*max_step_halvings=*/0);
-    EXPECT_THROW(solver.run_until(0.02, nullptr, 0.0), InvariantViolation);
-  }
-
-  // With halvings: the run completes, retries happened, state stays bounded.
-  {
-    fluid::DdeSolver solver(sys, {1.0}, 0.0, dt);
-    solver.set_guard(robust::make_bound_guard(2.0, {"x"}),
-                     /*max_step_halvings=*/6);
-    solver.run_until(0.02, nullptr, 0.0);
-    EXPECT_GT(solver.steps_retried(), 0u);
-    EXPECT_LE(std::abs(solver.state()[0]), 2.0);
-    EXPECT_GE(solver.time(), 0.02);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // FaultInjector on the packet engine.
@@ -319,7 +189,7 @@ TEST(FaultInjectorScenario, CleanRunIsUntouchedByZeroProfile) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-side guards: watchdogs and the host rate-register check.
+// Engine-side guards: the event budget and the host rate-register check.
 
 TEST(Watchdogs, EventBudgetAbortsRunawayLoop) {
   sim::Simulator sim;
@@ -331,70 +201,6 @@ TEST(Watchdogs, EventBudgetAbortsRunawayLoop) {
     FAIL() << "expected InvariantViolation";
   } catch (const InvariantViolation& violation) {
     EXPECT_EQ(violation.diagnostic().variable, "events_processed");
-  }
-}
-
-TEST(Watchdogs, WallClockLimitAborts) {
-  sim::Simulator sim;
-  sim.set_wall_clock_limit(1e-9);  // expires immediately; checked every 4096
-  std::function<void()> spin = [&] { sim.schedule_in(1, spin); };
-  sim.schedule_at(0, spin);
-  bool threw = false;
-  try {
-    for (int i = 0; i < 20000; ++i) sim.run_one();
-  } catch (const InvariantViolation& violation) {
-    threw = true;
-    EXPECT_EQ(violation.diagnostic().variable, "wall_clock_seconds");
-  }
-  EXPECT_TRUE(threw);
-}
-
-TEST(Watchdogs, WallClockRestartsOnEachRun) {
-  // Regression: the wall clock used to start at set_wall_clock_limit() and
-  // never reset, so host time spent *between* runs (or in an earlier run)
-  // counted against later ones — and the (processed & 0xFFF) amortization
-  // could skip the first check of a re-entered run entirely. The limit now
-  // bounds each run_until()/run_all() episode separately.
-  sim::Simulator sim;
-  sim.set_wall_clock_limit(0.2);
-  sim.schedule_at(100, [] {});
-  sim.run_until(1000);
-  // Idle host time after the first run must not count against the second.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  sim.schedule_at(2000, [] {});
-  EXPECT_NO_THROW(sim.run_until(3000));
-}
-
-TEST(Watchdogs, SleepingFaultHookTripsSecondRunEvenWhenQueueDrains) {
-  // Regression: run_until() never checked the wall-clock watchdog when the
-  // queue drained before the amortized in-loop check fired, so a handful of
-  // pathologically slow events (here: a fault hook that stalls the host)
-  // escaped an armed limit. The hook fires inside the *second* run_until
-  // call, which also exercises the per-run clock reset path.
-  sim::Simulator sim;
-  Rng rng(7);
-  RecordingSink sink;
-  sim::Port port(sim, rng, "p", gbps(10.0), 0);
-  port.connect(&sink, 0);
-  port.set_fault_hook([](const sim::Packet&, PicoTime) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    return sim::FaultAction{};
-  });
-  sim.set_wall_clock_limit(0.05);
-
-  sim.run_until(1000);  // clean first run: nothing scheduled, no throw
-
-  // Transmit (and therefore the stalling hook) happens during event dispatch;
-  // the queue drains a few events later, well before the amortized in-loop
-  // check would ever fire.
-  sim.schedule_at(microseconds(1.0), [&] {
-    port.enqueue(make_packet(sim::PacketType::kData, 1000));
-  });
-  try {
-    sim.run_until(microseconds(100.0));
-    FAIL() << "expected InvariantViolation";
-  } catch (const InvariantViolation& violation) {
-    EXPECT_EQ(violation.diagnostic().variable, "wall_clock_seconds");
   }
 }
 
