@@ -18,9 +18,9 @@
 //
 // Time grid: the solver never accumulates `t += dt`. It tracks an integer
 // step index and computes t = t0 + k*dt per step, so step counts (and the
-// observer's sample count) are exact for any horizon — 1e7 steps land on the
-// same grid points a fresh solver would compute, with no floating-point
-// drift.
+// observer's sample count) are exact for any horizon below 2^53 steps — 1e7
+// steps land on the same grid points a fresh solver would compute, with no
+// floating-point drift.
 
 #include <cstddef>
 #include <cstdint>
