@@ -34,7 +34,7 @@ struct Diagnostic {
   /// One-line human-readable rendering.
   std::string to_string() const;
 
-  /// Builder for the common five fields.
+  /// A Diagnostic with the common five fields set.
   static Diagnostic make(std::string component, std::string variable,
                          double time, double value, std::string detail) {
     Diagnostic d;
